@@ -2,7 +2,6 @@
 
 from .brownian_max import (
     BarrierCoefficients,
-    DriftedBMParams,
     QuadratureError,
     adaptive_simpson,
     barrier_coefficients,

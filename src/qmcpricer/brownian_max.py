@@ -4,8 +4,13 @@ Everything is built from two reflection-principle identities for
 B^nu_t = B_t + nu t and M^nu_T = max_{0<=s<=T} B^nu_s:
 
   * the hitting probability P(M^nu_t >= u) in closed form, and
-  * a decomposition of E(1_{M^nu_T >= u} f(B^nu_t)) into one-dimensional
-    Gaussian integrals, closed-form at t = T and quadrature otherwise.
+  * E(1_{M^nu_T >= u} B^nu_t) as a closed-form term plus one Gaussian
+    integral over the distance below the barrier, closed-form at t = T and
+    evaluated by fixed-node piecewise Gauss-Legendre quadrature, for all
+    times t < T at once, otherwise.
+
+The factor e^{2 u nu} of the reflected paths is carried in log space, so
+no formula overflows however large the barrier or the drift.
 
 These produce the regression coefficients for barrier payoffs: the
 indicator of ``max_k S_k >= u`` becomes the indicator of a drifted
@@ -18,16 +23,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import log_ndtr, ndtr
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
-
-def _phi(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT2PI
-
-
-def _Phi(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+# Panel layout of the quadrature in y = u - B^nu_t, per time step t < T:
+# _DENSITY_PANELS uniform panels over c +- _SPREAD sqrt(t), where the
+# N(c, t) density of y has its mass, merged with breakpoints sqrt(T - t) 2^k
+# for k in [_GRADE_MIN, _GRADE_MAX], which resolve the layer of width
+# sqrt(T - t) at y = 0 where the remaining hitting probability falls from
+# one.  Against the same quadrature on 80 density panels, k in [-14, 8] and
+# 60 nodes, the error stays below 3e-13 for u in [0.01, 8], nu in [-10, 20],
+# T in [0.01, 10] and t from 1e-5 T to (1 - 1e-5) T.
+_GL_NODES = 20
+_DENSITY_PANELS = 12
+_SPREAD = 10.0
+_GRADE_MIN, _GRADE_MAX = -5, 5
+# Time steps are processed in chunks of at most this many nodes, so each
+# temporary array stays at 1 MiB and the kernel's peak at a few MiB.
+_CHUNK_NODES = 2**17
 
 
 class QuadratureError(RuntimeError):
@@ -67,30 +81,35 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-9, max_depth: int = 
     return recurse(a, fa, b, fb, fm, whole, tol, 0)
 
 
-@dataclass
-class DriftedBMParams:
-    nu: float
-    t: float
-    T: float
-    u: float
+def _hit_prob(u, nu: float, t):
+    """P(M^nu_t >= u) for u >= 0, elementwise over arrays u and t.
 
-    def __post_init__(self):
-        if self.T <= 0.0 or self.t <= 0.0 or self.t > self.T:
-            raise ValueError("need 0 < t <= T")
+    The reflected term e^{2 u nu} Phi(z) is exp(2 u nu + log Phi(z)).  It is
+    part of a probability, so that exponent is never positive, while
+    e^{2 u nu} on its own overflows once 2 u nu exceeds about 709.
+    """
+    st = np.sqrt(t)
+    return ndtr((nu * t - u) / st) + np.exp(2.0 * u * nu + log_ndtr((-u - nu * t) / st))
+
+
+def _upper_tail_mean(u: float, mu, st):
+    """E(1_{B >= u} B) for B ~ N(mu, st^2), elementwise over mu and st."""
+    z = (u - mu) / st
+    return mu * ndtr(-z) + st * np.exp(-0.5 * z * z) / _SQRT2PI
 
 
 def prob_max_exceeds(u: float, nu: float, t: float) -> float:
     """P(max_{0<=s<=t} B^nu_s >= u).
 
-    For u >= 0 this is Phi((nu t - u)/sqrt(t)) + e^{2 u nu} Phi((-u - nu t)/sqrt(t));
-    for u < 0 the maximum exceeds u trivially (it is at least B_0 = 0).
+    For u > 0 this is Phi((nu t - u)/sqrt(t)) + e^{2 u nu} Phi((-u - nu t)/sqrt(t)),
+    with the second product formed in log space so that it cannot overflow;
+    for u <= 0 the maximum exceeds u trivially (it is at least B_0 = 0).
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    if u < 0.0:
+    if u <= 0.0:
         return 1.0
-    st = math.sqrt(t)
-    return _Phi((nu * t - u) / st) + math.exp(2.0 * u * nu) * _Phi((-u - nu * t) / st)
+    return float(_hit_prob(u, nu, t))
 
 
 def conditional_exceed_prob(u: float, x: float, nu: float, remaining: float) -> float:
@@ -104,74 +123,91 @@ def conditional_exceed_prob(u: float, x: float, nu: float, remaining: float) -> 
     return prob_max_exceeds(u - x, nu, remaining)
 
 
-def _endpoint_moment(u: float, nu: float, t: float, f_tag: str) -> float:
-    """E(1_{M^nu_t >= u} f(B^nu_t)) at the endpoint, in closed form.
+def _endpoint_moment(u: float, nu: float, t: float) -> float:
+    """E(1_{M^nu_t >= u} B^nu_t) for u > 0, in closed form.
 
     The reflection identity gives
-    E(1_{B >= u} f(B)) + e^{2 u nu} E(1_{B <= -u} f(2u + B)) with B = B^nu_t.
+    E(1_{B >= u} B) + e^{2 u nu} E(1_{B <= -u} (2u + B)) with B = B^nu_t, and
+    e^{2 u nu} phi((-u - nu t)/sqrt(t)) = phi((u - nu t)/sqrt(t)).
     """
     st = math.sqrt(t)
     mu = nu * t
-    zu = (mu - u) / st  # P(B >= u) = Phi(zu)
-    zl = (-u - mu) / st  # P(B <= -u) = Phi(zl)
-    w = math.exp(2.0 * u * nu)
-    if f_tag == "one":
-        return _Phi(zu) + w * _Phi(zl)
-    # identity: E(1_{B>=c} B) = mu Phi((mu-c)/st) + st phi((c-mu)/st)
-    #           E(1_{B<=c} B) = mu Phi((c-mu)/st) - st phi((c-mu)/st)
-    first = mu * _Phi(zu) + st * _phi(zu)
-    second = w * ((2.0 * u + mu) * _Phi(zl) - st * _phi(zl))
-    return first + second
+    zu = (u - mu) / st
+    reflected = (2.0 * u + mu) * math.exp(2.0 * u * nu + log_ndtr((-u - mu) / st))
+    reflected -= st * math.exp(-0.5 * zu * zu) / _SQRT2PI
+    return float(_upper_tail_mean(u, mu, st)) + reflected
 
 
-_F_TAGS = {"one": lambda x: 1.0, "identity": lambda x: x}
+def _interior_moments(u: float, nu: float, t: np.ndarray, T: float) -> np.ndarray:
+    """E(1_{M^nu_T >= u} B^nu_t) for u > 0 and every entry 0 < t < T of t.
+
+    With B = B^nu_t ~ N(nu t, t) and g(x) = P(M^nu_{T-t} >= u - x), the
+    hitting probability over the remaining horizon,
+
+        E(1_{M^nu_T >= u} B) = E(B g(B)) + e^{2 u nu} E(1_{B <= -u} (2u + B)(1 - g(2u + B))).
+
+    g is one above the barrier, so the part of the first term on B >= u is
+    the closed-form upper-tail mean.  On B < u, the substitution y = u - x
+    turns e^{2 u nu} times the density at x - 2u into the density at x
+    times e^{-2 u y / t}, so both terms join in one integral over y > 0:
+
+        integral_0^inf (u - y) p_t(u - y) [g_y + (1 - g_y) e^{-2 u y / t}] dy
+
+    with g_y = P(M^nu_{T-t} >= y) and p_t the N(nu t, t) density.  It is
+    evaluated by Gauss-Legendre on the panels described at _GL_NODES.
+    """
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    unit = np.linspace(0.0, 1.0, _DENSITY_PANELS + 1)
+    grades = 2.0 ** np.arange(_GRADE_MIN, _GRADE_MAX + 1)
+    panels = unit.size + grades.size - 1
+    rows = max(1, _CHUNK_NODES // (panels * _GL_NODES))
+    out = np.empty(t.size)
+    for start in range(0, t.size, rows):
+        tc = t[start : start + rows, None]
+        st = np.sqrt(tc)
+        tau = T - tc
+        c = u - nu * tc  # y = u - B^nu_t is N(c, t)
+        lo = np.maximum(c - _SPREAD * st, 0.0)
+        hi = np.maximum(c + _SPREAD * st, lo)
+        # clipped breakpoints leave zero-width panels, which add nothing
+        edges = np.concatenate(
+            [lo + (hi - lo) * unit, np.clip(np.sqrt(tau) * grades, lo, hi)], axis=1
+        )
+        edges.sort(axis=1)
+        half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+        y = ((edges[:, :-1, None] + half) + half * x).reshape(tc.shape[0], -1)
+        wy = (half * w).reshape(y.shape)
+        g = _hit_prob(y, nu, tau)
+        refl = np.exp(-2.0 * u * y / tc)
+        z = (y - c) / st
+        vals = (u - y) * np.exp(-0.5 * z * z) / (st * _SQRT2PI) * (refl + g * (1.0 - refl))
+        out[start : start + rows] = _upper_tail_mean(u, nu * tc[:, 0], st[:, 0]) + np.einsum(
+            "ij,ij->i", vals, wy
+        )
+    return out
 
 
 def indicator_moment(u: float, nu: float, t: float, T: float, f_tag: str = "one") -> float:
     """E(1_{M^nu_T >= u} f(B^nu_t)) for f in {one, identity}.
 
-    At t = T the reflection identity is closed-form.  For t < T the
-    conditional hit probability g(x) over the remaining horizon splits the
-    expectation into three Gaussian integrals,
-
-      E(f(B) g(B)) + E(1_{B >= u} f(B)(1 - g(B)))
-                   + e^{2 u nu} E(1_{B <= -u} f(2u + B)(1 - g(2u + B))),
-
-    each evaluated by adaptive quadrature over the N(nu t, t) density
-    truncated at mean +- 8 sd.  For u <= 0 the indicator is almost surely
-    one and the plain moment of B^nu_t is returned.
+    For f = one the expectation does not depend on t: it is the hitting
+    probability P(M^nu_T >= u).  For f = identity it is closed-form at
+    t = T, and for t < T the one-time case of the quadrature that
+    ``barrier_coefficients`` runs over every time step.  For u <= 0 the
+    indicator is almost surely one and the plain moment of B^nu_t is
+    returned.
     """
     if T <= 0.0 or t <= 0.0 or t > T:
         raise ValueError("need 0 < t <= T")
-    if f_tag not in _F_TAGS:
+    if f_tag not in ("one", "identity"):
         raise ValueError(f"unknown f_tag {f_tag!r}")
+    if f_tag == "one":
+        return prob_max_exceeds(u, nu, T)
     if u <= 0.0:
-        return 1.0 if f_tag == "one" else nu * t
+        return nu * t
     if t == T:
-        return _endpoint_moment(u, nu, t, f_tag)
-    f = _F_TAGS[f_tag]
-    tau = T - t
-    st = math.sqrt(t)
-    mu = nu * t
-    lo, hi = mu - 8.0 * st, mu + 8.0 * st
-
-    def dens(x: float) -> float:
-        return _phi((x - mu) / st) / st
-
-    def g(x: float) -> float:
-        return prob_max_exceeds(u - x, nu, tau)
-
-    total = adaptive_simpson(lambda x: f(x) * g(x) * dens(x), lo, hi)
-    if hi > u:
-        total += adaptive_simpson(
-            lambda x: f(x) * (1.0 - g(x)) * dens(x), max(u, lo), hi
-        )
-    if -u > lo:
-        w = math.exp(2.0 * u * nu)
-        total += w * adaptive_simpson(
-            lambda x: f(2.0 * u + x) * (1.0 - g(2.0 * u + x)) * dens(x), lo, min(-u, hi)
-        )
-    return total
+        return _endpoint_moment(u, nu, T)
+    return float(_interior_moments(u, nu, np.array([t]), T)[0])
 
 
 @dataclass
@@ -200,8 +236,10 @@ def barrier_coefficients(
     lower-triangular matrix of sqrt(T/n) constants:
     a_i = (beta_i - beta_{i-1}) / sqrt(T/n) - nu sqrt(T/n) gamma.
 
-    A barrier at or below spot (u_tilde <= 0) makes the continuous-time
-    indicator constant: a = 0 and gamma = 1.
+    beta_n is closed-form; beta_1 .. beta_{n-1} come from one vectorised
+    Gauss-Legendre pass over all n - 1 interior times.  A barrier at or
+    below spot (u_tilde <= 0) makes the continuous-time indicator constant:
+    a = 0 and gamma = 1.
     """
     if S0 <= 0.0 or barrier <= 0.0:
         raise ValueError("S0 and barrier must be positive")
@@ -216,9 +254,9 @@ def barrier_coefficients(
         return BarrierCoefficients(
             a=np.zeros(n), beta=beta, gamma=1.0, nu=nu, u_tilde=u_tilde
         )
-    beta = np.array(
-        [indicator_moment(u_tilde, nu, i * dt, T, "identity") for i in steps]
-    )
+    beta = np.empty(n)
+    beta[:-1] = _interior_moments(u_tilde, nu, steps[:-1] * dt, T)
+    beta[-1] = _endpoint_moment(u_tilde, nu, T)
     gamma = prob_max_exceeds(u_tilde, nu, T)
     a = np.diff(np.concatenate([[0.0], beta])) / math.sqrt(dt) - nu * math.sqrt(dt) * gamma
     return BarrierCoefficients(a=a, beta=beta, gamma=gamma, nu=nu, u_tilde=u_tilde)
@@ -231,7 +269,8 @@ def weighted_max_expectation(
 
     Layer-cake form: the expectation equals
     integral_0^inf h'(u) E(1_{M^nu_T >= u} f(B^nu_t)) du, truncated at
-    u_max = |nu| T + 10 sqrt(T) where the hitting probability is negligible.
+    u_max = |nu| T + 10 sqrt(T) where the hitting probability is negligible,
+    and evaluated by adaptive Simpson over u.
     """
     if T <= 0.0 or t <= 0.0 or t > T:
         raise ValueError("need 0 < t <= T")

@@ -8,7 +8,7 @@ Subcommands:
   coeffs       dump the regression coefficient vector
 
 Exit codes: 0 success, 2 bad flags, 3 unsupported (payoff, method)
-combination, 4 numerical failure.
+combination, 4 numerical failure (a non-finite price estimate).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import math
 import sys
 
-from .brownian_max import QuadratureError
 from .harness import (
     METHODS,
     PAYOFFS,
@@ -204,9 +203,6 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedCombinationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except QuadratureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
 

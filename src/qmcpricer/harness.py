@@ -93,6 +93,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
         if self.batches < 2:
             raise ValueError("need at least 2 batches")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         for N in self.paths:
             if N < 1 or N & (N - 1):
                 raise ValueError("path counts must be powers of two")

@@ -48,6 +48,14 @@ def test_prob_max_with_drift():
     assert abs(bm.prob_max_exceeds(1.0, 0.1, 1.0) - 0.349763) < 5e-7
 
 
+def test_prob_max_no_overflow():
+    # e^{2 u nu} alone overflows a double here; the hitting probability is ~1e-83
+    p = bm.prob_max_exceeds(69.3, 50.0, 1.0)
+    assert math.isfinite(p)
+    assert 0.0 <= p <= 1.0
+    assert math.isfinite(bm.indicator_moment(69.3, 50.0, 1.0, 1.0, "identity"))
+
+
 def test_prob_max_invalid_time():
     with pytest.raises(ValueError):
         bm.prob_max_exceeds(1.0, 0.0, 0.0)
@@ -182,3 +190,54 @@ def test_barrier_coefficients_validation():
         bm.barrier_coefficients(100.0, 0.04, 0.0, 1.0, 4, 110.0)
     with pytest.raises(ValueError):
         bm.barrier_coefficients(100.0, 0.04, 0.2, 1.0, 4, -1.0)
+
+
+def _simpson_identity_moment(u, nu, t, T, tol=1e-12):
+    """E(1_{M_T >= u} B_t) from the three-integral reflection decomposition.
+
+    E(B g(B)) + E(1_{B >= u} B (1 - g(B))) + e^{2 u nu} E(1_{B <= -u} (2u + B)(1 - g(2u + B)))
+    with g the hitting probability over T - t, each term by adaptive Simpson
+    over the N(nu t, t) density truncated at mean +- 8 sd; closed-form at t = T.
+    """
+    st, mu = math.sqrt(t), nu * t
+
+    def phi(z):
+        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    def dens(x):
+        return phi((x - mu) / st) / st
+
+    if t == T:
+        zu, zl = (mu - u) / st, (-u - mu) / st
+        first = mu * _Phi(zu) + st * phi(zu)
+        second = (2.0 * u + mu) * _Phi(zl) - st * phi(zl)
+        return first + math.exp(2.0 * u * nu) * second
+
+    tau = T - t
+
+    def g(x):
+        v = u - x
+        if v < 0.0:
+            return 1.0
+        s = math.sqrt(tau)
+        return _Phi((nu * tau - v) / s) + math.exp(2.0 * v * nu) * _Phi((-v - nu * tau) / s)
+
+    lo, hi = mu - 8.0 * st, mu + 8.0 * st
+    total = bm.adaptive_simpson(lambda x: x * g(x) * dens(x), lo, hi, tol=tol)
+    if hi > u:
+        total += bm.adaptive_simpson(lambda x: x * (1.0 - g(x)) * dens(x), max(u, lo), hi, tol=tol)
+    if -u > lo:
+        total += math.exp(2.0 * u * nu) * bm.adaptive_simpson(
+            lambda x: (2.0 * u + x) * (1.0 - g(2.0 * u + x)) * dens(x), lo, min(-u, hi), tol=tol
+        )
+    return total
+
+
+def test_barrier_coefficients_match_tight_simpson_full_scale():
+    # digital up-and-in market data at n = 2000: the smallest times, where
+    # the density is narrowest, the middle, the step before T, and T itself
+    S0, r, sigma, T, n, barrier = 100.0, 0.04, 0.2, 1.0, 2000, 110.0
+    bc = bm.barrier_coefficients(S0, r, sigma, T, n, barrier)
+    for i in (1, 2, n // 2, n - 1, n):
+        want = _simpson_identity_moment(bc.u_tilde, bc.nu, i * T / n, T)
+        assert abs(bc.beta[i - 1] - want) <= 1e-9, (i, bc.beta[i - 1], want)

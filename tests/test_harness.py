@@ -30,6 +30,8 @@ def test_config_validation():
         _cfg(paths=[48])
     with pytest.raises(ValueError, match="barrier"):
         _cfg(payoff="digital-barrier")
+    with pytest.raises(ValueError, match="workers"):
+        _cfg(workers=0)
 
 
 def test_zero_sigma_deterministic():
@@ -203,6 +205,26 @@ def test_cli_missing_barrier_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["price", "--payoff", "digital-barrier", "--n", "8", "--paths", "64"])
     assert exc.value.code == 2
+
+
+def test_cli_zero_workers_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["price", "--n", "8", "--paths", "64", "--batches", "2", "--workers", "0"])
+    assert exc.value.code == 2
+
+
+def test_cli_coeffs_extreme_barrier_is_finite(capsys):
+    # e^{2 u nu} with u = log(2)/0.01 and nu ~ 50 overflows a double
+    rc = cli.main(
+        [
+            "coeffs", "--payoff", "digital-barrier", "--barrier", "200",
+            "--sigma", "0.01", "--rate", "0.5",
+        ]
+    )
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 64
+    assert all(math.isfinite(float(row.split()[1])) for row in rows)
 
 
 def test_cli_coeffs_output(capsys):
