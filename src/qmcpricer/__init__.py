@@ -53,29 +53,25 @@ from .rng import (
     normal_block,
     normal_vector,
     shift_vector,
+    shifted_normals,
     sobol_block,
     sobol_point,
 )
 from .transforms import (
-    BasketBridgeConstruction,
-    BasketChainConstruction,
     BasketCovSpec,
-    BasketForwardConstruction,
-    BasketPcaConstruction,
     BrownianBridgeConstruction,
     ChainConstruction,
     ForwardConstruction,
     HouseholderReflection,
+    KroneckerConstruction,
     PcaConstruction,
     TransformChain,
-    apply_householder,
-    basket_construct,
     basket_forward_matrix,
+    cholesky_psd,
     complete_first_k_columns,
-    construct_path,
     construction_matrix,
+    eigh_factor,
     householder_from_target,
-    jacobi_eigh,
     path_construction,
     pca_factors,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 
 from .harness import (
     METHODS,
@@ -66,44 +67,32 @@ def _add_market_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config(args, paths: list[int], methods: list[str]) -> ExperimentConfig:
+    """Config from the parsed flags; every flag named like a config field sets it."""
+    names = [f.name for f in fields(ExperimentConfig)]
+    flags = {name: getattr(args, name) for name in names if hasattr(args, name)}
     n = FULL_SCALE_N[args.payoff] if args.full_scale else args.n
-    return ExperimentConfig(
-        payoff=args.payoff,
-        methods=methods,
-        n=n,
-        paths=paths,
-        batches=args.batches,
-        seed=args.seed,
-        s0=args.s0,
-        strike=args.strike,
-        rate=args.rate,
-        sigma=args.sigma,
-        maturity=args.maturity,
-        barrier=args.barrier,
-        assets=args.assets,
-        rho=args.rho,
-        sigma_min=args.sigma_min,
-        sigma_max=args.sigma_max,
-        lt_columns=args.lt_columns,
-        workers=args.workers,
-    )
+    return ExperimentConfig(**{**flags, "methods": methods, "n": n, "paths": paths})
 
 
-def _cmd_price(args) -> int:
-    methods = args.method or ["forward"]
-    cfg = _config(args, [args.paths], methods)
-    raw, stats = run_experiment(cfg)
-    if any(not math.isfinite(r.estimate) for r in raw):
+def _run(args, paths: list[int], methods: list[str], write) -> int:
+    """Run, refuse a non-finite estimate (exit 4), write CSV, print the summary."""
+    raw, stats = run_experiment(_config(args, paths, methods))
+    if any(not math.isfinite(s.mean) for s in stats):
         print("numerical failure: non-finite estimate", file=sys.stderr)
         return 4
     if args.out:
-        write_raw_csv(raw, args.out)
+        write(raw, stats)
     for s in stats:
         print(
             f"{s.payoff} {s.method} n={s.n} N={s.N} "
             f"mean={s.mean:.6f} stddev={s.stddev:.6e} batches={s.batches}"
         )
     return 0
+
+
+def _cmd_price(args) -> int:
+    methods = args.method or ["forward"]
+    return _run(args, [args.paths], methods, lambda raw, _: write_raw_csv(raw, args.out))
 
 
 def _cmd_convergence(args) -> int:
@@ -111,19 +100,7 @@ def _cmd_convergence(args) -> int:
         raise ValueError("--log2-min must not exceed --log2-max")
     methods = args.method or ["forward", "regression"]
     paths = [2**k for k in range(args.log2_min, args.log2_max + 1)]
-    cfg = _config(args, paths, methods)
-    _, stats = run_experiment(cfg)
-    if any(not math.isfinite(s.mean) for s in stats):
-        print("numerical failure: non-finite estimate", file=sys.stderr)
-        return 4
-    if args.out:
-        write_summary_csv(stats, args.out)
-    for s in stats:
-        print(
-            f"{s.payoff} {s.method} n={s.n} N={s.N} "
-            f"mean={s.mean:.6f} stddev={s.stddev:.6e} batches={s.batches}"
-        )
-    return 0
+    return _run(args, paths, methods, lambda _, stats: write_summary_csv(stats, args.out))
 
 
 def _cmd_table1(args) -> int:

@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -39,22 +41,19 @@ from .regression import (
     basket_spec,
     logexp_coefficients,
     regression_chain,
-    regression_transform,
+    regression_transform,  # noqa: F401  (kept for the benchmark's trace hooks)
 )
 from .transforms import (
-    BasketBridgeConstruction,
-    BasketChainConstruction,
     BasketCovSpec,
-    BasketForwardConstruction,
-    BasketPcaConstruction,
     BrownianBridgeConstruction,
-    ForwardConstruction,
-    PcaConstruction,
     ChainConstruction,
+    ForwardConstruction,
+    KroneckerConstruction,
+    PcaConstruction,
+    cholesky_psd,
+    eigh_factor,
+    householder_from_target,
 )
-
-PAYOFFS = ("asian", "basket", "digital-barrier", "asian-barrier")
-METHODS = ("forward", "bb", "pca", "regression", "lt")
 
 RAW_HEADER = "payoff,method,n,N,batch,estimate,runtime_ms"
 SUMMARY_HEADER = "payoff,method,n,N,mean,stddev,batches"
@@ -100,6 +99,8 @@ class ExperimentConfig:
                 raise ValueError("path counts must be powers of two")
         if self.payoff in ("digital-barrier", "asian-barrier") and self.barrier is None:
             raise ValueError(f"payoff {self.payoff!r} requires a barrier level")
+        if self.payoff == "basket" and self.assets < 1:
+            raise ValueError("basket needs at least 1 asset")
 
 
 @dataclass
@@ -122,7 +123,6 @@ class BatchStats:
     mean: float
     stddev: float
     batches: int
-    wall_ms: float
 
 
 @dataclass
@@ -130,9 +130,8 @@ class _Problem:
     """Everything needed to price one payoff under every method."""
 
     dim: int
-    params: GbmParams
-    spec: object
-    evaluate: object  # (construction, X) -> payoff vector
+    R: np.ndarray | None  # asset covariance of a basket, None for one asset
+    evaluate: Callable  # (construction, X) -> payoff vector
     constructions: dict = field(default_factory=dict)
 
 
@@ -143,99 +142,118 @@ def _basket_cov(cfg: ExperimentConfig) -> BasketCovSpec:
     return BasketCovSpec(m=cfg.assets, n=cfg.n, T=cfg.maturity, vols=vols, corr=corr)
 
 
+def _one_asset(spec_of: Callable) -> Callable:
+    """Problem set-up, (dim, R, evaluate), for a payoff on one GBM asset."""
+
+    def setup(cfg: ExperimentConfig):
+        spec = spec_of(cfg)
+        params = GbmParams(S0=cfg.s0, r=cfg.rate, sigma=cfg.sigma, T=cfg.maturity, n=cfg.n)
+
+        def evaluate(construction, X):
+            return payoff(spec, params, gbm_path(params, construction.apply(X)))
+
+        return cfg.n, None, evaluate
+
+    return setup
+
+
+def _basket_setup(cfg: ExperimentConfig):
+    cov = _basket_cov(cfg)
+    spec = BasketAsianCall(K=cfg.strike, cov=cov, S0=np.full(cfg.assets, cfg.s0))
+    params = GbmParams(S0=cfg.s0, r=cfg.rate, sigma=cov.vols.mean(), T=cfg.maturity, n=cfg.n)
+
+    def evaluate(construction, X):
+        return payoff(spec, params, basket_paths(spec, cfg.rate, construction.apply(X)))
+
+    return cov.dim, cov.R(), evaluate
+
+
+# Coefficient providers and log-exp specs call the library through this
+# module's namespace, where the benchmark's trace hooks find them.
+def _asian_a(cfg: ExperimentConfig) -> np.ndarray:
+    return asian_coefficients(cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n).a
+
+
+def _barrier_a(cfg: ExperimentConfig) -> np.ndarray:
+    return barrier_coefficients(cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n, cfg.barrier).a
+
+
+def _basket_a(cfg: ExperimentConfig) -> np.ndarray:
+    return logexp_coefficients(_basket_logexp(cfg)).a
+
+
+def _asian_logexp(cfg: ExperimentConfig):
+    return asian_spec(cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n)
+
+
+def _basket_logexp(cfg: ExperimentConfig):
+    return basket_spec(_basket_cov(cfg), np.full(cfg.assets, cfg.s0), cfg.rate)
+
+
+@dataclass(frozen=True)
+class _PayoffRow:
+    setup: Callable  # cfg -> (dim, R, evaluate) of a _Problem
+    providers: tuple  # cfg -> coefficient vector of each smooth part, in chain order
+    lt_spec: Callable | None  # cfg -> log-exp spec for LT; None refuses the method
+
+
+_PAYOFF_TABLE = {
+    "asian": _PayoffRow(
+        _one_asset(lambda cfg: AsianCall(K=cfg.strike)), (_asian_a,), _asian_logexp
+    ),
+    "basket": _PayoffRow(_basket_setup, (_basket_a,), _basket_logexp),
+    "digital-barrier": _PayoffRow(
+        _one_asset(lambda cfg: DigitalUpIn(barrier=cfg.barrier)), (_barrier_a,), None
+    ),
+    "asian-barrier": _PayoffRow(
+        _one_asset(lambda cfg: AsianUpIn(barrier=cfg.barrier, K=cfg.strike)),
+        (_barrier_a, _asian_a),
+        None,
+    ),
+}
+
+
+def _regression(cfg: ExperimentConfig, row: _PayoffRow, dim: int):
+    return regression_chain([partial(p, cfg) for p in row.providers], dim)
+
+
+def _lt(cfg: ExperimentConfig, row: _PayoffRow, dim: int):
+    if row.lt_spec is None:
+        raise UnsupportedCombinationError(f"method 'lt' unsupported for payoff {cfg.payoff!r}")
+    return lt_transform(row.lt_spec(cfg), LtConfig(k=min(cfg.lt_columns, dim))).chain
+
+
+# method -> (time factor, asset factor K1 with K1 K1^T = R for baskets,
+# builder (cfg, payoff row, dim) -> the TransformChain in front, or None)
+_METHOD_TABLE = {
+    "forward": (ForwardConstruction, cholesky_psd, None),
+    "bb": (BrownianBridgeConstruction, cholesky_psd, None),
+    "pca": (PcaConstruction, eigh_factor, None),
+    "regression": (ForwardConstruction, cholesky_psd, _regression),
+    "lt": (ForwardConstruction, cholesky_psd, _lt),
+}
+
+PAYOFFS = tuple(_PAYOFF_TABLE)
+METHODS = tuple(_METHOD_TABLE)
+
+
 def regression_vector_for(cfg: ExperimentConfig) -> RegressionVector:
-    """The coefficient vector a used by the regression method for a payoff."""
-    if cfg.payoff == "asian":
-        return asian_coefficients(cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n)
-    if cfg.payoff == "basket":
-        cov = _basket_cov(cfg)
-        s0 = np.full(cfg.assets, cfg.s0)
-        return logexp_coefficients(basket_spec(cov, s0, cfg.rate))
-    if cfg.payoff == "digital-barrier":
-        bc = barrier_coefficients(
-            cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n, cfg.barrier
-        )
-        return RegressionVector.from_coefficients(bc.a)
-    # asian-barrier uses a two-function chain; expose the first vector
-    bc = barrier_coefficients(cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n, cfg.barrier)
-    return RegressionVector.from_coefficients(bc.a)
-
-
-def _regression_chain_for(cfg: ExperimentConfig):
-    if cfg.payoff == "asian-barrier":
-        providers = [
-            lambda: barrier_coefficients(
-                cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n, cfg.barrier
-            ).a,
-            lambda: asian_coefficients(
-                cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n
-            ).a,
-        ]
-        return regression_chain(providers, cfg.n)
-    return regression_transform(regression_vector_for(cfg))
+    """The coefficient vector a of the payoff's first smooth part."""
+    return RegressionVector.from_coefficients(_PAYOFF_TABLE[cfg.payoff].providers[0](cfg))
 
 
 def _build_problem(cfg: ExperimentConfig) -> _Problem:
-    T = cfg.maturity
-    if cfg.payoff == "basket":
-        cov = _basket_cov(cfg)
-        s0 = np.full(cfg.assets, cfg.s0)
-        spec = BasketAsianCall(K=cfg.strike, cov=cov, S0=s0)
-        params = GbmParams(S0=cfg.s0, r=cfg.rate, sigma=cov.vols.mean(), T=T, n=cfg.n)
-
-        def evaluate(construction, X):
-            S = basket_paths(spec, cfg.rate, construction.apply(X))
-            return payoff(spec, params, S)
-
-        problem = _Problem(dim=cov.dim, params=params, spec=spec, evaluate=evaluate)
-        for m in cfg.methods:
-            if m == "forward":
-                problem.constructions[m] = BasketForwardConstruction(cov)
-            elif m == "bb":
-                problem.constructions[m] = BasketBridgeConstruction(cov)
-            elif m == "pca":
-                problem.constructions[m] = BasketPcaConstruction(cov)
-            elif m == "regression":
-                chain = regression_transform(
-                    logexp_coefficients(basket_spec(cov, s0, cfg.rate))
-                )
-                problem.constructions[m] = BasketChainConstruction(cov, chain)
-            elif m == "lt":
-                k = min(cfg.lt_columns, cov.dim)
-                chain = lt_transform(basket_spec(cov, s0, cfg.rate), LtConfig(k=k)).chain
-                problem.constructions[m] = BasketChainConstruction(cov, chain)
-        return problem
-
-    params = GbmParams(S0=cfg.s0, r=cfg.rate, sigma=cfg.sigma, T=T, n=cfg.n)
-    if cfg.payoff == "asian":
-        spec = AsianCall(K=cfg.strike)
-    elif cfg.payoff == "digital-barrier":
-        spec = DigitalUpIn(barrier=cfg.barrier)
-    else:
-        spec = AsianUpIn(barrier=cfg.barrier, K=cfg.strike)
-
-    def evaluate(construction, X):
-        return payoff(spec, params, gbm_path(params, construction.apply(X)))
-
-    problem = _Problem(dim=cfg.n, params=params, spec=spec, evaluate=evaluate)
+    """Each method's construction: chain, then asset factor, then time factor."""
+    row = _PAYOFF_TABLE[cfg.payoff]
+    problem = _Problem(*row.setup(cfg))
     for m in cfg.methods:
-        if m == "forward":
-            problem.constructions[m] = ForwardConstruction(cfg.n, T)
-        elif m == "bb":
-            problem.constructions[m] = BrownianBridgeConstruction(cfg.n, T)
-        elif m == "pca":
-            problem.constructions[m] = PcaConstruction(cfg.n, T)
-        elif m == "regression":
-            problem.constructions[m] = ChainConstruction(_regression_chain_for(cfg), cfg.n, T)
-        elif m == "lt":
-            if cfg.payoff != "asian":
-                raise UnsupportedCombinationError(
-                    f"method 'lt' unsupported for payoff {cfg.payoff!r}"
-                )
-            k = min(cfg.lt_columns, cfg.n)
-            spec_lt = asian_spec(cfg.s0, cfg.rate, cfg.sigma, T, cfg.n)
-            chain = lt_transform(spec_lt, LtConfig(k=k)).chain
-            problem.constructions[m] = ChainConstruction(chain, cfg.n, T)
+        time_factor, asset_factor, chain = _METHOD_TABLE[m]
+        construction = time_factor(cfg.n, cfg.maturity)
+        if problem.R is not None:
+            construction = KroneckerConstruction(asset_factor(problem.R), construction)
+        if chain is not None:
+            construction = ChainConstruction(chain(cfg, row, problem.dim), construction)
+        problem.constructions[m] = construction
     return problem
 
 
@@ -246,9 +264,7 @@ def _run_batch(cfg: ExperimentConfig, problem: _Problem, points: np.ndarray, bat
     a smaller N is the mean over the corresponding prefix of payoffs, and
     the reported per-row runtime is the shared evaluation time.
     """
-    shift = rng.shift_vector(cfg.seed, batch, problem.dim)
-    u = rng.apply_shift(points, shift)
-    X = rng.inv_normal_cdf(np.clip(u, rng.UNIT_EPS, 1.0 - rng.UNIT_EPS))
+    X = rng.shifted_normals(points, rng.shift_vector(cfg.seed, batch, problem.dim))
     out = []
     for method in cfg.methods:
         construction = problem.constructions[method]
@@ -286,11 +302,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[RawRow], list[BatchStats
     for method in sorted(set(r.method for r in raw)):
         for N in sorted(cfg.paths):
             ests = [r.estimate for r in raw if r.method == method and r.N == N]
-            ms = sum(r.runtime_ms for r in raw if r.method == method and r.N == N)
             mean = sum(ests) / len(ests)
             var = sum((e - mean) ** 2 for e in ests) / (len(ests) - 1)
             stats.append(
-                BatchStats(cfg.payoff, method, cfg.n, N, mean, math.sqrt(var), len(ests), ms)
+                BatchStats(cfg.payoff, method, cfg.n, N, mean, math.sqrt(var), len(ests))
             )
     return raw, stats
 
@@ -338,35 +353,12 @@ def timing_report(
     separately and included in the reported total.
     """
     N = max(cfg.paths)
-    dims = cfg.assets * cfg.n if cfg.payoff == "basket" else cfg.n
-    points = rng.sobol_block(N, dims)
-    shift = rng.shift_vector(cfg.seed, 0, dims)
-    X = rng.inv_normal_cdf(
-        np.clip(rng.apply_shift(points, shift), rng.UNIT_EPS, 1.0 - rng.UNIT_EPS)
-    )
+    dim = _build_problem(replace(cfg, methods=[])).dim
+    X = rng.shifted_normals(rng.sobol_block(N, dim), rng.shift_vector(cfg.seed, 0, dim))
     report = []
     for method in cfg.methods:
-        sub = ExperimentConfig(
-            payoff=cfg.payoff,
-            methods=[method],
-            n=cfg.n,
-            paths=cfg.paths,
-            batches=cfg.batches,
-            seed=cfg.seed,
-            s0=cfg.s0,
-            strike=cfg.strike,
-            rate=cfg.rate,
-            sigma=cfg.sigma,
-            maturity=cfg.maturity,
-            barrier=cfg.barrier,
-            assets=cfg.assets,
-            rho=cfg.rho,
-            sigma_min=cfg.sigma_min,
-            sigma_max=cfg.sigma_max,
-            lt_columns=cfg.lt_columns,
-        )
         t0 = time.perf_counter()
-        problem = _build_problem(sub)
+        problem = _build_problem(replace(cfg, methods=[method]))
         setup_ms = (time.perf_counter() - t0) * 1000.0
         construction = problem.constructions[method]
         times = []
@@ -397,8 +389,6 @@ def reflection_apply_times(
     Used to check the O(n) application cost: doubling n should roughly
     double the time.
     """
-    from .transforms import householder_from_target
-
     gen = np.random.default_rng(seed)
     out = {}
     for n in sizes:

@@ -86,14 +86,11 @@ def basket_paths(spec: BasketAsianCall, r: float, scaled_brownian: np.ndarray) -
     """
     cov = spec.cov
     x = np.asarray(scaled_brownian, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    Y = X.reshape(X.shape[0], cov.m, cov.n)
+    Y = x.reshape(x.shape[:-1] + (cov.m, cov.n))
     dt = cov.T / cov.n
     k = np.arange(1, cov.n + 1)
     drift = (r - 0.5 * cov.vols[:, None] ** 2) * dt * k[None, :]
-    S = spec.S0[:, None] * np.exp(drift[None, :, :] + Y)
-    return S[0] if single else S
+    return spec.S0[:, None] * np.exp(drift + Y)
 
 
 def payoff(spec, params: GbmParams, paths: np.ndarray) -> np.ndarray:

@@ -28,10 +28,9 @@ import numpy as np
 
 from .transforms import (
     BasketCovSpec,
-    HouseholderReflection,
     TransformChain,
+    _reflection_sequence,
     basket_forward_matrix,
-    householder_from_target,
 )
 
 
@@ -194,9 +193,7 @@ def variance_report_continuum(r: float, sigma: float, T: float) -> VarianceRepor
 
 def regression_transform(rv: RegressionVector) -> TransformChain:
     """Single reflection mapping e_1 to a/||a||; identity when ||a|| = 0."""
-    if rv.norm == 0.0:
-        return TransformChain()
-    return TransformChain([householder_from_target(rv.a, k=1)])
+    return _reflection_sequence([rv.a])
 
 
 def regression_chain(providers: Sequence[Callable[[], np.ndarray]], n: int) -> TransformChain:
@@ -205,21 +202,19 @@ def regression_chain(providers: Sequence[Callable[[], np.ndarray]], n: int) -> T
     Each provider returns the coefficient vector of its part in the
     original coordinates; the k-th vector is mapped through the transforms
     built so far (a^(k) under U equals U^T a^(k) under the identity), its
-    first k-1 entries are zeroed, and the k-th reflection sends e_k to the
-    normalized remainder.  Zero vectors contribute the identity.
+    leading entries are zeroed, and the next reflection sends the next
+    unit vector to the normalized remainder.  Zero vectors, and vectors
+    already spanned by earlier ones, contribute no reflection.
     """
-    reflections: list[HouseholderReflection] = []
-    for k, provider in enumerate(providers, start=1):
-        a = np.asarray(provider(), dtype=np.float64)
-        if a.shape != (n,):
-            raise ValueError(f"provider {k} returned shape {a.shape}, expected ({n},)")
-        for refl in reflections:
-            a = refl.apply(a)
-        a[: k - 1] = 0.0
-        if np.linalg.norm(a) == 0.0:
-            continue
-        reflections.append(householder_from_target(a, k=k))
-    return TransformChain(reflections)
+
+    def vectors():
+        for k, provider in enumerate(providers, start=1):
+            a = np.asarray(provider(), dtype=np.float64)
+            if a.shape != (n,):
+                raise ValueError(f"provider {k} returned shape {a.shape}, expected ({n},)")
+            yield a
+
+    return _reflection_sequence(vectors())
 
 
 def exact_linear_chain(ws: Sequence[np.ndarray]) -> TransformChain:
@@ -230,23 +225,6 @@ def exact_linear_chain(ws: Sequence[np.ndarray]) -> TransformChain:
     are skipped.
     """
     vectors = [np.asarray(w, dtype=np.float64) for w in ws]
-    if not vectors:
-        return TransformChain()
-    n = vectors[0].size
-    reflections: list[HouseholderReflection] = []
-    for w in vectors:
-        if w.shape != (n,):
-            raise ValueError("all vectors must share one dimension")
-        scale = float(np.linalg.norm(w))
-        if scale == 0.0:
-            continue
-        wt = w.copy()
-        for refl in reflections:
-            wt = refl.apply(wt)
-        k = len(reflections) + 1
-        tail = wt.copy()
-        tail[: k - 1] = 0.0
-        if np.linalg.norm(tail) <= 1e-12 * scale:
-            continue  # already depends on the leading coordinates only
-        reflections.append(householder_from_target(tail, k=k))
-    return TransformChain(reflections)
+    if any(w.shape != (vectors[0].size,) for w in vectors):
+        raise ValueError("all vectors must share one dimension")
+    return _reflection_sequence(vectors)

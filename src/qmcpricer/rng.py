@@ -16,6 +16,7 @@ independent of execution order.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 
 import numpy as np
@@ -28,9 +29,8 @@ MAX_INDEX = 1 << BITS
 # a shifted point can land exactly on 0.
 UNIT_EPS = 2.0**-53
 
-_direction_cache: np.ndarray | None = None
 
-
+@functools.cache
 def _load_directions() -> np.ndarray:
     """Parse the vendored table into a (BITS, max_dim) matrix of direction
     numbers, as 32-bit fixed point values stored in uint64."""
@@ -63,22 +63,14 @@ def _load_directions() -> np.ndarray:
 
 
 def _directions(dim: int) -> np.ndarray:
-    global _direction_cache
-    if _direction_cache is None:
-        _direction_cache = _load_directions()
-    if dim < 1 or dim > _direction_cache.shape[1]:
-        raise ValueError(
-            f"unsupported dimension {dim}; table covers 1..{_direction_cache.shape[1]}"
-        )
-    return _direction_cache[:, :dim]
+    if dim < 1 or dim > max_dimension():
+        raise ValueError(f"unsupported dimension {dim}; table covers 1..{max_dimension()}")
+    return _load_directions()[:, :dim]
 
 
 def max_dimension() -> int:
     """Largest dimension covered by the vendored direction-number table."""
-    global _direction_cache
-    if _direction_cache is None:
-        _direction_cache = _load_directions()
-    return _direction_cache.shape[1]
+    return _load_directions().shape[1]
 
 
 def _state_at(index: int, V: np.ndarray) -> np.ndarray:
@@ -152,14 +144,18 @@ def inv_normal_cdf(u):
     return z
 
 
+def shifted_normals(points: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Standard normals Phi^-1((p + s) mod 1), the uniforms clamped away
+    from 0 and 1, for one point or a block of points."""
+    return inv_normal_cdf(np.clip(apply_shift(points, shift), UNIT_EPS, 1.0 - UNIT_EPS))
+
+
 def normal_vector(index: int, shift: np.ndarray, dim: int) -> np.ndarray:
     """Standard-normal vector for one shifted Sobol point."""
-    p = apply_shift(sobol_point(index, dim), shift)
-    return inv_normal_cdf(np.clip(p, UNIT_EPS, 1.0 - UNIT_EPS))
+    return shifted_normals(sobol_point(index, dim), shift)
 
 
 def normal_block(count: int, shift: np.ndarray, start: int = 0) -> np.ndarray:
     """(count, dim) standard-normal matrix from consecutive shifted points."""
     shift = np.asarray(shift, dtype=np.float64)
-    p = apply_shift(sobol_block(count, shift.shape[-1], start), shift)
-    return inv_normal_cdf(np.clip(p, UNIT_EPS, 1.0 - UNIT_EPS))
+    return shifted_normals(sobol_block(count, shift.shape[-1], start), shift)

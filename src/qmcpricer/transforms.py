@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -43,10 +44,7 @@ class HouseholderReflection:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """U x for a single vector or a (N, n) batch of row vectors."""
-        x = np.asarray(x, dtype=np.float64)
-        out = x.copy()
-        self._apply_inplace(out[None, :] if out.ndim == 1 else out)
-        return out
+        return _reflect_rows(x, [self])
 
     def _apply_inplace(self, X: np.ndarray) -> None:
         """Reflect the rows of a writable (N, n) float64 array in place."""
@@ -59,6 +57,15 @@ class HouseholderReflection:
         coef = sub @ self.v
         coef *= 2.0
         sub -= coef[:, None] * self.v
+
+
+def _reflect_rows(x: np.ndarray, reflections) -> np.ndarray:
+    """A copy of x, one vector or (N, n) rows, with the reflections applied in order."""
+    out = np.asarray(x, dtype=np.float64).copy()
+    X = out[None, :] if out.ndim == 1 else out
+    for refl in reflections:
+        refl._apply_inplace(X)
+    return out
 
 
 def householder_from_target(a: np.ndarray, k: int = 1) -> HouseholderReflection:
@@ -89,11 +96,6 @@ def householder_from_target(a: np.ndarray, k: int = 1) -> HouseholderReflection:
     return HouseholderReflection(v, offset=k)
 
 
-def apply_householder(U: HouseholderReflection, x: np.ndarray) -> np.ndarray:
-    """Apply a reflection to a vector or a batch of row vectors."""
-    return U.apply(x)
-
-
 class TransformChain:
     """Ordered product U = U_1 U_2 ... U_m of Householder reflections.
 
@@ -108,53 +110,56 @@ class TransformChain:
         return len(self.reflections)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(x, dtype=np.float64).copy()
-        X = out[None, :] if out.ndim == 1 else out
-        for refl in reversed(self.reflections):
-            refl._apply_inplace(X)
-        return out
+        return _reflect_rows(x, reversed(self.reflections))
 
     def apply_t(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(x, dtype=np.float64).copy()
-        X = out[None, :] if out.ndim == 1 else out
-        for refl in self.reflections:
-            refl._apply_inplace(X)
-        return out
+        return _reflect_rows(x, self.reflections)
 
     def materialize(self, n: int) -> np.ndarray:
         """Dense n x n matrix of the product, for validation at small n."""
         return self.apply(np.eye(n)).T
 
 
+def _reflection_sequence(vectors: Iterable[np.ndarray]) -> TransformChain:
+    """Reflections U_1 ... U_k built from the given vectors in order.
+
+    Each vector w is reflected through the reflections built so far (which
+    gives U^T w for their product U), its leading k-1 entries are zeroed,
+    and U_k, with k = reflections so far + 1, maps e_k to the remainder,
+    so the leading columns of the product span the vectors seen so far.
+    A vector whose remainder is at most 1e-12 ||w|| already lies in the
+    span of the earlier columns and adds no reflection.  The inputs are
+    not modified.
+    """
+    reflections: list[HouseholderReflection] = []
+    for w in vectors:
+        rem = np.array(w, dtype=np.float64)
+        for refl in reflections:
+            rem = refl.apply(rem)
+        k = len(reflections) + 1
+        rem[: k - 1] = 0.0
+        if np.linalg.norm(rem) <= 1e-12 * np.linalg.norm(w):
+            continue
+        reflections.append(householder_from_target(rem, k=k))
+    return TransformChain(reflections)
+
+
 def complete_first_k_columns(columns: list[np.ndarray]) -> TransformChain:
     """Chain U_1 ... U_k whose product has the given orthonormal vectors as
     its first k columns.
 
-    Sequentially, U_l is the reflection with offset l mapping e_l to the
-    l-th column expressed in the frame of the previous reflections; by
-    orthonormality that vector has zeros before index l.
+    By orthonormality the l-th column, expressed in the frame of the
+    previous reflections, has zeros before index l up to rounding, so U_l
+    has offset l.
     """
     cols = [np.asarray(c, dtype=np.float64) for c in columns]
     if not cols:
         return TransformChain()
-    n = cols[0].size
-    k = len(cols)
-    if k > n:
-        raise ValueError("more columns than dimensions")
+    # more than n columns in R^n cannot pass this check either
     G = np.array([[ci @ cj for cj in cols] for ci in cols])
-    if np.abs(G - np.eye(k)).max() > 1e-10:
+    if np.abs(G - np.eye(len(cols))).max() > 1e-10:
         raise ValueError("columns not orthonormal")
-    chain: list[HouseholderReflection] = []
-    work = [c.copy() for c in cols]
-    for l in range(k):
-        w = work[l]
-        # numerically tiny leakage into the fixed coordinates is dropped
-        w[: l] = 0.0
-        refl = householder_from_target(w, k=l + 1)
-        chain.append(refl)
-        for j in range(l + 1, k):
-            work[j] = refl.apply(work[j])
-    return TransformChain(chain)
+    return _reflection_sequence(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +168,6 @@ def complete_first_k_columns(columns: list[np.ndarray]) -> TransformChain:
 
 class ForwardConstruction:
     """Cumulative sums of sqrt(T/n)-scaled normals."""
-
-    method = "forward"
 
     def __init__(self, n: int, T: float):
         self.n = n
@@ -183,8 +186,6 @@ class BrownianBridgeConstruction:
     the widest remaining interval (breadth-first), with exact conditional
     mean and variance.  Works for any n, not just powers of two.
     """
-
-    method = "brownian_bridge"
 
     def __init__(self, n: int, T: float):
         self.n = n
@@ -215,16 +216,13 @@ class BrownianBridgeConstruction:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
-        N = X.shape[0]
-        B = np.zeros((N, self.n + 1))
+        X = x.reshape(-1, self.n)
+        B = np.zeros((X.shape[0], self.n + 1))
         B[:, self.n] = self._sd_final * X[:, 0]
         for j in range(self._mid.size):
             m, l, r = self._mid[j], self._left[j], self._right[j]
             B[:, m] = self._wl[j] * B[:, l] + self._wr[j] * B[:, r] + self._sd[j] * X[:, j + 1]
-        out = B[:, 1:]
-        return out[0] if single else out
+        return B[:, 1:].reshape(x.shape)
 
 
 def pca_factors(n: int, T: float) -> tuple[np.ndarray, np.ndarray]:
@@ -243,8 +241,6 @@ def pca_factors(n: int, T: float) -> tuple[np.ndarray, np.ndarray]:
 class PcaConstruction:
     """Dense V D product with the closed-form eigendecomposition of Sigma."""
 
-    method = "pca"
-
     def __init__(self, n: int, T: float):
         self.n = n
         self.T = T
@@ -257,18 +253,16 @@ class PcaConstruction:
 
 
 class ChainConstruction:
-    """Forward construction applied to a transformed normal vector."""
+    """A base construction applied to a transformed normal vector: A U x."""
 
-    method = "chain"
-
-    def __init__(self, chain: TransformChain, n: int, T: float):
+    def __init__(self, chain: TransformChain, base):
         self.chain = chain
-        self.n = n
-        self.T = T
-        self._fwd = ForwardConstruction(n, T)
+        self.base = base
+        self.n = base.n
+        self.T = base.T
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._fwd.apply(self.chain.apply(x))
+        return self.base.apply(self.chain.apply(x))
 
 
 _METHODS = {
@@ -278,20 +272,11 @@ _METHODS = {
 }
 
 
-def path_construction(method: str, n: int, T: float, chain: TransformChain | None = None):
+def path_construction(method: str, n: int, T: float):
     """Factory for the single-asset constructions."""
-    if method == "chain":
-        if chain is None:
-            raise ValueError("chain method needs a TransformChain")
-        return ChainConstruction(chain, n, T)
     if method not in _METHODS:
         raise ValueError(f"unknown construction method {method!r}")
     return _METHODS[method](n, T)
-
-
-def construct_path(construction, x: np.ndarray) -> np.ndarray:
-    """Apply a construction to one normal vector (or a batch)."""
-    return construction.apply(x)
 
 
 def construction_matrix(construction) -> np.ndarray:
@@ -325,6 +310,10 @@ class BasketCovSpec:
         self.corr = np.asarray(self.corr, dtype=np.float64)
         if self.vols.shape != (self.m,) or self.corr.shape != (self.m, self.m):
             raise ValueError("vols/corr shape mismatch")
+        if np.any(self.vols < 0.0):
+            raise ValueError("vols must be nonnegative")
+        if np.abs(self.corr - self.corr.T).max() > 1e-12 * max(1.0, np.abs(self.corr).max()):
+            raise ValueError("corr must be symmetric")
 
     @property
     def dim(self) -> int:
@@ -334,40 +323,7 @@ class BasketCovSpec:
         return self.corr * np.outer(self.vols, self.vols)
 
 
-def jacobi_eigh(M: np.ndarray, tol: float = 1e-13, sweeps: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a small symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors) with columns as eigenvectors,
-    sorted by decreasing eigenvalue.
-    """
-    A = np.array(M, dtype=np.float64)
-    m = A.shape[0]
-    if A.shape != (m, m) or np.abs(A - A.T).max() > 1e-12 * max(1.0, np.abs(A).max()):
-        raise ValueError("matrix must be symmetric")
-    V = np.eye(m)
-    for _ in range(sweeps):
-        off = math.sqrt(np.sum(np.tril(A, -1) ** 2))
-        if off <= tol * max(1.0, np.abs(np.diag(A)).max()):
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                if A[p, q] == 0.0:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * A[p, q], A[q, q] - A[p, p])
-                c, s = math.cos(theta), math.sin(theta)
-                rot = np.eye(m)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-                V = V @ rot
-    vals = np.diag(A).copy()
-    order = np.argsort(vals)[::-1]
-    return vals[order], V[:, order]
-
-
-def _cholesky_psd(M: np.ndarray) -> np.ndarray:
+def cholesky_psd(M: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, tolerating tiny negative pivots from rounding."""
     m = M.shape[0]
     L = np.zeros_like(M, dtype=np.float64)
@@ -383,86 +339,46 @@ def _cholesky_psd(M: np.ndarray) -> np.ndarray:
     return L
 
 
-class _KroneckerConstruction:
-    """C = K1 (x) K2 applied without materializing the product."""
+def eigh_factor(M: np.ndarray) -> np.ndarray:
+    """V D^(1/2) with V D V^T = M, columns by decreasing eigenvalue.
 
-    def __init__(self, spec: BasketCovSpec, K1: np.ndarray, K2_apply):
-        self.spec = spec
-        self._K1 = K1
-        self._K2_apply = K2_apply
+    Each column's largest entry is made positive: LAPACK leaves the signs
+    open, and the sign decides which Sobol coordinate drives which factor.
+    That fixes the factor only for distinct eigenvalues.  A repeated one
+    (equal vols under a constant correlation) leaves the basis of its
+    eigenspace to LAPACK, so basket PCA estimates may then differ between
+    LAPACK builds; K1 K1^T = M holds either way.
+    """
+    vals, vecs = np.linalg.eigh(M)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    vecs = vecs * np.sign(vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])])
+    if vals[-1] < -1e-10 * max(1.0, vals[0]):
+        raise ValueError("matrix not positive semidefinite")
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+
+class KroneckerConstruction:
+    """C = K1 (x) K2 applied without materializing the product.
+
+    K1 is an m x m asset factor with K1 K1^T = R; K2 is a single-asset time
+    construction (forward, bridge or PCA) applied to each asset's n normals.
+    Input and output are asset-major, and ``n`` is the input dimension m n.
+    """
+
+    def __init__(self, K1: np.ndarray, time_construction):
+        self.K1 = np.asarray(K1, dtype=np.float64)
+        self.time = time_construction
+        self.n = self.K1.shape[0] * time_construction.n
+        self.T = time_construction.T
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
-        N, m, n = X.shape[0], self.spec.m, self.spec.n
-        Y = self._K2_apply(X.reshape(N * m, n)).reshape(N, m, n)
-        out = np.matmul(self._K1, Y).reshape(N, self.spec.dim)
-        return out[0] if single else out
-
-
-class BasketPcaConstruction(_KroneckerConstruction):
-    """(V1 D1) (x) (V2 D2) with V1 D1^2 V1^T = R and V2 D2^2 V2^T = Sigma."""
-
-    method = "pca"
-
-    def __init__(self, spec: BasketCovSpec):
-        vals, vecs = jacobi_eigh(spec.R())
-        if vals.min() < -1e-10 * max(1.0, vals.max()):
-            raise ValueError("R not positive semidefinite")
-        K1 = vecs * np.sqrt(np.clip(vals, 0.0, None))
-        pca = PcaConstruction(spec.n, spec.T)
-        super().__init__(spec, K1, pca.apply)
-        self.n = spec.dim
-        self.T = spec.T
-
-
-class BasketForwardConstruction(_KroneckerConstruction):
-    """chol(R) (x) S: forward paths per asset, correlated across assets."""
-
-    method = "forward"
-
-    def __init__(self, spec: BasketCovSpec):
-        fwd = ForwardConstruction(spec.n, spec.T)
-        super().__init__(spec, _cholesky_psd(spec.R()), fwd.apply)
-        self.n = spec.dim
-        self.T = spec.T
-
-
-class BasketBridgeConstruction(_KroneckerConstruction):
-    """chol(R) (x) (bridge matrix): bisection bridge per asset."""
-
-    method = "brownian_bridge"
-
-    def __init__(self, spec: BasketCovSpec):
-        bb = BrownianBridgeConstruction(spec.n, spec.T)
-        super().__init__(spec, _cholesky_psd(spec.R()), bb.apply)
-        self.n = spec.dim
-        self.T = spec.T
-
-
-class BasketChainConstruction:
-    """Basket forward construction applied to a transformed normal vector."""
-
-    method = "chain"
-
-    def __init__(self, spec: BasketCovSpec, chain: TransformChain):
-        self.spec = spec
-        self.chain = chain
-        self._fwd = BasketForwardConstruction(spec)
-        self.n = spec.dim
-        self.T = spec.T
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._fwd.apply(self.chain.apply(x))
-
-
-def basket_construct(spec: BasketCovSpec, x: np.ndarray) -> np.ndarray:
-    """C x with C = (V1 D1) (x) (V2 D2); C C^T = R (x) Sigma."""
-    return BasketPcaConstruction(spec).apply(x)
+        m, n = self.K1.shape[0], self.time.n
+        Y = self.time.apply(x.reshape(-1, n)).reshape(x.shape[:-1] + (m, n))
+        return np.matmul(self.K1, Y).reshape(x.shape)
 
 
 def basket_forward_matrix(spec: BasketCovSpec) -> np.ndarray:
     """Dense chol(R) (x) S matrix; rows are payoff exponents per (asset, step)."""
     S = np.tril(np.ones((spec.n, spec.n))) * math.sqrt(spec.T / spec.n)
-    return np.kron(_cholesky_psd(spec.R()), S)
+    return np.kron(cholesky_psd(spec.R()), S)

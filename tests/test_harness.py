@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ def test_config_validation():
         _cfg(payoff="digital-barrier")
     with pytest.raises(ValueError, match="workers"):
         _cfg(workers=0)
+    with pytest.raises(ValueError, match="asset"):
+        _cfg(payoff="basket", assets=0)
 
 
 def test_zero_sigma_deterministic():
@@ -213,6 +217,30 @@ def test_cli_zero_workers_exits_2():
     assert exc.value.code == 2
 
 
+def test_basket_pca_equal_vols_agrees_with_forward():
+    # a repeated eigenvalue of R leaves eigh_factor's basis open; the price must not care
+    cfg = harness.ExperimentConfig(
+        payoff="basket", methods=["forward", "pca"], n=16, paths=[2**12], batches=8,
+        assets=5, sigma_min=0.2, sigma_max=0.2, rho=0.3,
+    )
+    _, (fwd, pca) = harness.run_experiment(cfg)
+    se = math.hypot(fwd.stddev, pca.stddev) / math.sqrt(fwd.batches)
+    assert abs(fwd.mean - pca.mean) <= 3.0 * se
+
+
+def test_cli_bad_basket_inputs_exit_2():
+    for argv in (
+        ["price", "--payoff", "basket", "--assets", "0", "--method", "regression",
+         "--n", "8", "--paths", "64", "--batches", "2"],
+        ["coeffs", "--payoff", "basket", "--assets", "0"],
+        ["price", "--payoff", "basket", "--assets", "2", "--sigma-min", "-0.1",
+         "--n", "8", "--paths", "64", "--batches", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+
+
 def test_cli_coeffs_extreme_barrier_is_finite(capsys):
     # e^{2 u nu} with u = log(2)/0.01 and nu ~ 50 overflows a double
     rc = cli.main(
@@ -233,3 +261,25 @@ def test_cli_coeffs_output(capsys):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 5
     assert out[1].startswith("1 ")
+
+
+# --- benchmark trace hooks --------------------------------------------------
+
+
+def test_benchmark_trace_hooks_resolve():
+    # The pricing benchmark wraps library entry points at the names the
+    # harness looks them up by; a name that disappears, or a coefficient
+    # function no longer called through the harness namespace, silently
+    # drops a per-layer metric.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install(harness)
+    try:
+        assert tracer.missing == []
+        harness.run_experiment(_cfg(methods=["regression"]))
+        assert tracer.returns["coefficients"] is not None
+    finally:
+        tracer.uninstall()

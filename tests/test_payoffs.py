@@ -5,7 +5,12 @@ import pytest
 
 from qmcpricer import payoffs as po
 from qmcpricer import rng
-from qmcpricer.transforms import BasketCovSpec, BasketForwardConstruction, ForwardConstruction
+from qmcpricer.transforms import (
+    BasketCovSpec,
+    ForwardConstruction,
+    KroneckerConstruction,
+    cholesky_psd,
+)
 
 
 def _params(**kw):
@@ -146,7 +151,8 @@ def test_basket_single_asset_matches_gbm():
     spec = po.BasketAsianCall(K=100.0, cov=cov, S0=np.array([100.0]))
     gen = np.random.default_rng(28)
     X = gen.standard_normal((20, 5))
-    S_basket = po.basket_paths(spec, 0.04, BasketForwardConstruction(cov).apply(X))
+    basket_forward = KroneckerConstruction(cholesky_psd(cov.R()), ForwardConstruction(5, 1.0))
+    S_basket = po.basket_paths(spec, 0.04, basket_forward.apply(X))
     p = _params(n=5)
     S_single = po.gbm_path(p, ForwardConstruction(5, 1.0).apply(X))
     np.testing.assert_allclose(S_basket[:, 0, :], S_single, atol=1e-10)

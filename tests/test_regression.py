@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmcpricer import regression as reg
+from qmcpricer.brownian_max import barrier_coefficients
 from qmcpricer import transforms as tr
 
 
@@ -174,6 +175,23 @@ def test_regression_chain_skips_zero_provider():
     np.testing.assert_allclose(resid, 0.0, atol=1e-12)
 
 
+def test_regression_chain_zero_leading_provider_matches_single():
+    # barrier <= S0: the barrier part has a = 0, so the Asian vector takes
+    # the first coordinate exactly as the single-part transform does
+    bc = barrier_coefficients(100.0, 0.04, 0.2, 1.0, 8, 90.0)
+    assert not np.any(bc.a)
+    rv = reg.asian_coefficients(100.0, 0.04, 0.2, 1.0, 8)
+    chain = reg.regression_chain([lambda: bc.a, lambda: rv.a], 8)
+    np.testing.assert_array_equal(chain.materialize(8), reg.regression_transform(rv).materialize(8))
+
+
+def test_regression_chain_leaves_provider_arrays_unchanged():
+    a2 = np.random.default_rng(20).standard_normal(5)
+    before = a2.copy()
+    reg.regression_chain([lambda: np.zeros(5), lambda: a2], 5)
+    np.testing.assert_array_equal(a2, before)
+
+
 def test_exact_linear_chain_canonical():
     e3 = np.zeros(4)
     e3[2] = 1.0
@@ -211,7 +229,7 @@ def test_pipeline_associativity():
     # reflecting then building the forward path equals the chain construction
     rv = reg.asian_coefficients(100.0, 0.04, 0.2, 1.0, 16)
     chain = reg.regression_transform(rv)
-    construction = tr.ChainConstruction(chain, 16, 1.0)
+    construction = tr.ChainConstruction(chain, tr.ForwardConstruction(16, 1.0))
     x = np.random.default_rng(18).standard_normal(16)
     fwd = tr.ForwardConstruction(16, 1.0)
     np.testing.assert_allclose(construction.apply(x), fwd.apply(chain.apply(x)), atol=1e-12)

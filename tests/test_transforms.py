@@ -149,7 +149,7 @@ def test_construct_path_n1_any_method():
     x = np.array([0.7])
     for method in ("forward", "brownian_bridge", "pca"):
         c = tr.path_construction(method, 1, 4.0)
-        np.testing.assert_allclose(tr.construct_path(c, x), [2.0 * 0.7], atol=1e-14)
+        np.testing.assert_allclose(c.apply(x), [2.0 * 0.7], atol=1e-14)
 
 
 def test_forward_example():
@@ -200,7 +200,7 @@ def test_bridge_handles_non_power_of_two():
 
 
 def test_chain_construction_identity_equals_forward():
-    c = tr.ChainConstruction(tr.TransformChain(), 5, 1.0)
+    c = tr.ChainConstruction(tr.TransformChain(), tr.ForwardConstruction(5, 1.0))
     f = tr.ForwardConstruction(5, 1.0)
     x = np.random.default_rng(5).standard_normal(5)
     np.testing.assert_array_equal(c.apply(x), f.apply(x))
@@ -209,7 +209,7 @@ def test_chain_construction_identity_equals_forward():
 def test_chain_construction_covariance_preserved():
     gen = np.random.default_rng(6)
     chain = tr.TransformChain([tr.householder_from_target(gen.standard_normal(7))])
-    c = tr.ChainConstruction(chain, 7, 1.0)
+    c = tr.ChainConstruction(chain, tr.ForwardConstruction(7, 1.0))
     A = tr.construction_matrix(c)
     assert np.abs(A @ A.T - brownian_cov(7, 1.0)).max() <= 1e-9
 
@@ -230,16 +230,32 @@ def _basket_spec(m, n, rho, vols, T=1.0):
     return tr.BasketCovSpec(m=m, n=n, T=T, vols=np.asarray(vols, dtype=float), corr=corr)
 
 
+def _kron_pca(spec):
+    return tr.KroneckerConstruction(tr.eigh_factor(spec.R()), tr.PcaConstruction(spec.n, spec.T))
+
+
+def _kron_forward(spec):
+    return tr.KroneckerConstruction(
+        tr.cholesky_psd(spec.R()), tr.ForwardConstruction(spec.n, spec.T)
+    )
+
+
+def _kron_bridge(spec):
+    return tr.KroneckerConstruction(
+        tr.cholesky_psd(spec.R()), tr.BrownianBridgeConstruction(spec.n, spec.T)
+    )
+
+
 def test_basket_single_asset_reduces_to_pca():
     spec = _basket_spec(1, 4, 0.0, [0.3])
     x = np.random.default_rng(7).standard_normal(4)
     single = 0.3 * tr.PcaConstruction(4, 1.0).apply(x)
-    np.testing.assert_allclose(tr.basket_construct(spec, x), single, atol=1e-12)
+    np.testing.assert_allclose(_kron_pca(spec).apply(x), single, atol=1e-12)
 
 
 def test_basket_zero_correlation_block_diagonal():
     spec = _basket_spec(2, 2, 0.0, [0.1, 0.3])
-    C = tr.construction_matrix(tr.BasketPcaConstruction(spec))
+    C = tr.construction_matrix(_kron_pca(spec))
     cov = C @ C.T
     Sigma = brownian_cov(2, 1.0)
     np.testing.assert_allclose(cov[:2, :2], 0.01 * Sigma, atol=1e-12)
@@ -250,32 +266,24 @@ def test_basket_zero_correlation_block_diagonal():
 def test_basket_constructions_match_kronecker_covariance():
     spec = _basket_spec(2, 2, 0.05, [0.1, 0.3])
     target = np.kron(spec.R(), brownian_cov(2, 1.0))
-    for cls in (
-        tr.BasketPcaConstruction,
-        tr.BasketForwardConstruction,
-        tr.BasketBridgeConstruction,
-    ):
-        C = tr.construction_matrix(cls(spec))
-        assert np.abs(C @ C.T - target).max() <= 1e-10, cls.__name__
+    for make in (_kron_pca, _kron_forward, _kron_bridge):
+        C = tr.construction_matrix(make(spec))
+        assert np.abs(C @ C.T - target).max() <= 1e-10, make.__name__
 
 
 def test_basket_larger_covariance():
     spec = _basket_spec(4, 8, 0.2, [0.1, 0.15, 0.2, 0.3], T=2.0)
     target = np.kron(spec.R(), brownian_cov(8, 2.0))
-    for cls in (
-        tr.BasketPcaConstruction,
-        tr.BasketForwardConstruction,
-        tr.BasketBridgeConstruction,
-    ):
-        C = tr.construction_matrix(cls(spec))
-        assert np.abs(C @ C.T - target).max() <= 1e-8, cls.__name__
+    for make in (_kron_pca, _kron_forward, _kron_bridge):
+        C = tr.construction_matrix(make(spec))
+        assert np.abs(C @ C.T - target).max() <= 1e-8, make.__name__
 
 
 def test_basket_chain_construction_covariance():
     spec = _basket_spec(2, 3, 0.1, [0.2, 0.25])
     gen = np.random.default_rng(8)
     chain = tr.TransformChain([tr.householder_from_target(gen.standard_normal(6))])
-    C = tr.construction_matrix(tr.BasketChainConstruction(spec, chain))
+    C = tr.construction_matrix(tr.ChainConstruction(chain, _kron_forward(spec)))
     target = np.kron(spec.R(), brownian_cov(3, 1.0))
     assert np.abs(C @ C.T - target).max() <= 1e-10
 
@@ -290,20 +298,38 @@ def test_basket_forward_matrix_is_kron():
 def test_basket_not_psd_rejected():
     corr = np.array([[1.0, 2.0], [2.0, 1.0]])  # not a correlation matrix
     spec = tr.BasketCovSpec(m=2, n=2, T=1.0, vols=np.array([0.1, 0.2]), corr=corr)
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        tr.BasketPcaConstruction(spec)
+    for factor in (tr.eigh_factor, tr.cholesky_psd):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            factor(spec.R())
 
 
-def test_jacobi_matches_numpy():
+def test_eigh_factor_sorted_with_positive_largest_entry():
     gen = np.random.default_rng(9)
     B = gen.standard_normal((6, 6))
     M = B @ B.T
-    vals, vecs = tr.jacobi_eigh(M)
-    np.testing.assert_allclose(vals, np.linalg.eigvalsh(M)[::-1], rtol=1e-10, atol=1e-10)
-    np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, M, atol=1e-9)
-    np.testing.assert_allclose(vecs.T @ vecs, np.eye(6), atol=1e-12)
+    K = tr.eigh_factor(M)
+    np.testing.assert_allclose(K @ K.T, M, atol=1e-9)
+    np.testing.assert_allclose(K.T @ K, np.diag(np.linalg.eigvalsh(M)[::-1]), atol=1e-9)
+    assert np.all(K[np.abs(K).argmax(axis=0), np.arange(6)] > 0.0)
 
 
-def test_jacobi_rejects_asymmetric():
+def test_eigh_factor_repeated_eigenvalue():
+    # equal vols under a constant correlation: eigenvalue 0.04 (1 - rho) repeated m - 1 times
+    spec = _basket_spec(5, 4, 0.3, [0.2] * 5)
+    R = spec.R()
+    K = tr.eigh_factor(R)
+    np.testing.assert_allclose(K @ K.T, R, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(K, axis=0) ** 2, [0.04 * 2.2] + [0.04 * 0.7] * 4)
+    target = np.kron(R, brownian_cov(4, 1.0))
+    C = tr.construction_matrix(_kron_pca(spec))
+    assert np.abs(C @ C.T - target).max() <= 1e-10
+
+
+def test_basket_cov_rejects_asymmetric_corr():
     with pytest.raises(ValueError, match="symmetric"):
-        tr.jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        tr.BasketCovSpec(m=2, n=2, T=1.0, vols=np.ones(2), corr=np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_basket_cov_rejects_negative_vols():
+    with pytest.raises(ValueError, match="vols"):
+        tr.BasketCovSpec(m=2, n=2, T=1.0, vols=np.array([0.2, -0.1]), corr=np.eye(2))
