@@ -72,7 +72,6 @@ from .transforms import (
     construction_matrix,
     eigh_factor,
     householder_from_target,
-    path_construction,
     pca_factors,
 )
 

@@ -50,6 +50,7 @@ from .transforms import (
     ForwardConstruction,
     KroneckerConstruction,
     PcaConstruction,
+    _in_span,
     cholesky_psd,
     eigh_factor,
     householder_from_target,
@@ -97,8 +98,11 @@ class ExperimentConfig:
         for N in self.paths:
             if N < 1 or N & (N - 1):
                 raise ValueError("path counts must be powers of two")
-        if self.payoff in ("digital-barrier", "asian-barrier") and self.barrier is None:
-            raise ValueError(f"payoff {self.payoff!r} requires a barrier level")
+        if self.payoff in ("digital-barrier", "asian-barrier"):
+            if self.barrier is None:
+                raise ValueError(f"payoff {self.payoff!r} requires a barrier level")
+            if not (math.isfinite(self.barrier) and self.barrier > 0.0):
+                raise ValueError(f"barrier must be positive and finite, got {self.barrier!r}")
         if self.payoff == "basket" and self.assets < 1:
             raise ValueError("basket needs at least 1 asset")
 
@@ -238,8 +242,14 @@ METHODS = tuple(_METHOD_TABLE)
 
 
 def regression_vector_for(cfg: ExperimentConfig) -> RegressionVector:
-    """The coefficient vector a of the payoff's first smooth part."""
-    return RegressionVector.from_coefficients(_PAYOFF_TABLE[cfg.payoff].providers[0](cfg))
+    """The coefficient vector a the regression chain first reflects onto.
+
+    That is the first smooth part's vector that the chain does not skip
+    as zero; the first part's vector if every part's is zero.
+    """
+    vectors = [p(cfg) for p in _PAYOFF_TABLE[cfg.payoff].providers]
+    a = next((w for w in vectors if not _in_span(w, w)), vectors[0])
+    return RegressionVector.from_coefficients(a)
 
 
 def _build_problem(cfg: ExperimentConfig) -> _Problem:

@@ -28,13 +28,20 @@ class GbmParams:
 
 
 def gbm_path(params: GbmParams, brownian: np.ndarray) -> np.ndarray:
-    """S_k = S0 exp((r - sigma^2/2) k T/n + sigma B_{kT/n}), k = 1..n."""
+    """S_k = S0 exp((r - sigma^2/2) k T/n + sigma B_{kT/n}), k = 1..n.
+
+    Computed in one new buffer; ``brownian`` is not modified.
+    """
     brownian = np.asarray(brownian, dtype=np.float64)
     if brownian.shape[-1] != params.n:
         raise ValueError("path length mismatch")
     k = np.arange(1, params.n + 1)
     drift = (params.r - 0.5 * params.sigma**2) * (params.T / params.n) * k
-    return params.S0 * np.exp(drift + params.sigma * brownian)
+    out = np.multiply(brownian, params.sigma)
+    out += drift
+    np.exp(out, out=out)
+    out *= params.S0
+    return out
 
 
 @dataclass
@@ -82,7 +89,9 @@ def basket_paths(spec: BasketAsianCall, r: float, scaled_brownian: np.ndarray) -
     """Asset paths from vol-scaled Brownian values sigma_i B^(i).
 
     ``scaled_brownian`` has shape (..., m*n), asset-major, as produced by
-    the basket constructions; the volatility is already inside.
+    the basket constructions; the volatility is already inside.  The
+    (..., m, n) prices are computed in one new buffer; the input is not
+    modified.
     """
     cov = spec.cov
     x = np.asarray(scaled_brownian, dtype=np.float64)
@@ -90,7 +99,10 @@ def basket_paths(spec: BasketAsianCall, r: float, scaled_brownian: np.ndarray) -
     dt = cov.T / cov.n
     k = np.arange(1, cov.n + 1)
     drift = (r - 0.5 * cov.vols[:, None] ** 2) * dt * k[None, :]
-    return spec.S0[:, None] * np.exp(drift + Y)
+    out = np.add(Y, drift)
+    np.exp(out, out=out)
+    out *= spec.S0[:, None]
+    return out
 
 
 def payoff(spec, params: GbmParams, paths: np.ndarray) -> np.ndarray:

@@ -8,10 +8,15 @@ table has one line per dimension in the format ``d s a m_1 ... m_s`` where
 direction integers.  Dimension 1 is the van der Corput sequence in base 2
 and carries no table entry.
 
-Random shifts are Cranley-Patterson rotations: a uniform vector added
-coordinatewise mod 1.  Shift vectors are derived from a counter-based
-generator keyed by ``(seed, batch)`` so batches are reproducible and
-independent of execution order.
+Points are kept as their 32-bit generator states x; the point itself is
+x 2^-32 exactly.  Random shifts are Cranley-Patterson rotations done in
+the same integer domain: a uniform uint32 vector added coordinatewise
+mod 2^32, which is the shift mod 1 at 32-bit resolution.  Shift vectors
+are derived from a counter-based generator keyed by ``(seed, batch)`` so
+batches are reproducible and independent of execution order.  A shifted
+state x stands for the cell [x 2^-32, (x+1) 2^-32) and is mapped to the
+cell's midpoint (x + 1/2) 2^-32, which lies strictly inside (0, 1), so
+normal inversion needs no clamp.
 """
 
 from __future__ import annotations
@@ -24,16 +29,14 @@ from scipy.special import ndtri
 
 BITS = 32
 MAX_INDEX = 1 << BITS
-
-# Uniforms are clamped to [UNIT_EPS, 1 - UNIT_EPS] before normal inversion;
-# a shifted point can land exactly on 0.
-UNIT_EPS = 2.0**-53
+# A state x maps to the uniform (x + 1/2) * CELL; both steps are exact.
+CELL = 2.0**-BITS
 
 
 @functools.cache
 def _load_directions() -> np.ndarray:
-    """Parse the vendored table into a (BITS, max_dim) matrix of direction
-    numbers, as 32-bit fixed point values stored in uint64."""
+    """Parse the vendored table into a (BITS, max_dim) uint32 matrix of
+    direction numbers, as 32-bit fixed point values."""
     ref = importlib.resources.files("qmcpricer.data").joinpath("joe-kuo-2600.txt")
     lines = ref.read_text().splitlines()
     entries = []
@@ -45,7 +48,7 @@ def _load_directions() -> np.ndarray:
         m = [int(x) for x in parts[3 : 3 + s]]
         entries.append((d, s, a, m))
     max_dim = entries[-1][0]
-    V = np.zeros((BITS, max_dim), dtype=np.uint64)
+    V = np.zeros((BITS, max_dim), dtype=np.uint32)
     for j in range(BITS):
         V[j, 0] = 1 << (BITS - 1 - j)
     for d, s, a, m in entries:
@@ -75,7 +78,7 @@ def max_dimension() -> int:
 
 def _state_at(index: int, V: np.ndarray) -> np.ndarray:
     """Integer state of the Gray-code generator at a given index."""
-    x = np.zeros(V.shape[1], dtype=np.uint64)
+    x = np.zeros(V.shape[1], dtype=np.uint32)
     g = index ^ (index >> 1)
     for j in range(BITS):
         if (g >> j) & 1:
@@ -84,20 +87,20 @@ def _state_at(index: int, V: np.ndarray) -> np.ndarray:
 
 
 def sobol_block(count: int, dim: int, start: int = 0) -> np.ndarray:
-    """Points ``start .. start+count-1`` of the Sobol sequence.
+    """States of points ``start .. start+count-1`` of the Sobol sequence.
 
-    Returns a (count, dim) array of floats in [0, 1).  Gray-code ordering:
-    consecutive points differ in a single direction number, so the whole
-    block is an XOR prefix scan.
+    Returns a (count, dim) uint32 array; the points are ``states * CELL``.
+    Gray-code ordering: consecutive points differ in a single direction
+    number, so the whole block is an XOR prefix scan.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if start < 0 or start + count > MAX_INDEX:
         raise ValueError("index out of range")
     V = _directions(dim)
+    rows = np.empty((count, dim), dtype=np.uint32)
     if count == 0:
-        return np.zeros((0, dim))
-    rows = np.empty((count, dim), dtype=np.uint64)
+        return rows
     rows[0] = _state_at(start, V)
     if count > 1:
         idx = np.arange(start, start + count - 1, dtype=np.uint64)
@@ -105,49 +108,65 @@ def sobol_block(count: int, dim: int, start: int = 0) -> np.ndarray:
         c = np.log2(lsb.astype(np.float64)).astype(np.int64)
         rows[1:] = V[c]
         np.bitwise_xor.accumulate(rows, axis=0, out=rows)
-    return rows.astype(np.float64) / float(MAX_INDEX)
+    return rows
 
 
 def sobol_point(index: int, dim: int) -> np.ndarray:
-    """The index-th point of the Sobol sequence in the given dimension."""
+    """uint32 state of the index-th Sobol point in the given dimension."""
     if index < 0 or index >= MAX_INDEX:
         raise ValueError("index out of range")
-    V = _directions(dim)
-    return _state_at(index, V).astype(np.float64) / float(MAX_INDEX)
+    return _state_at(index, _directions(dim))
+
+
+def _states(a) -> np.ndarray:
+    a = np.asarray(a)
+    if a.dtype != np.uint32:
+        raise TypeError(f"expected uint32 Sobol states, got {a.dtype}")
+    return a
 
 
 def apply_shift(p: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Coordinatewise (p + s) mod 1."""
-    p = np.asarray(p, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
+    """Coordinatewise (p + s) mod 2^32 of uint32 states and shift."""
+    p, s = _states(p), _states(s)
     if p.shape[-1] != s.shape[-1]:
         raise ValueError(f"dimension mismatch: {p.shape[-1]} vs {s.shape[-1]}")
-    return (p + s) % 1.0
+    return p + s
 
 
 def shift_vector(seed: int, batch: int, dim: int) -> np.ndarray:
-    """Uniform shift vector derived deterministically from (seed, batch)."""
+    """Uniform uint32 shift vector derived deterministically from (seed, batch).
+
+    Entry j is the top 32 bits of the j-th 64-bit Philox output, which is
+    the uniform double ``Generator(Philox(key)).random(dim)[j]`` truncated
+    to 32 bits, so shifted points stay within 2^-32 of that float shift.
+    """
     if seed < 0 or batch < 0:
         raise ValueError("seed and batch must be nonnegative")
-    gen = np.random.Generator(np.random.Philox(key=[seed, batch]))
-    return gen.random(dim)
+    words = np.random.Philox(key=[seed, batch]).random_raw(dim)
+    return (words >> np.uint64(BITS)).astype(np.uint32)
 
 
-def inv_normal_cdf(u):
-    """Standard normal quantile, |Phi(z) - u| <= 1e-9 on (0, 1)."""
+def inv_normal_cdf(u, out: np.ndarray | None = None):
+    """Standard normal quantile, |Phi(z) - u| <= 1e-9 on (0, 1).
+
+    ``out`` may be ``u`` itself to invert in place.
+    """
     arr = np.asarray(u, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    # written so that NaN, which fails every comparison, is refused too
+    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
         raise ValueError("out of domain: u must lie in (0, 1)")
-    z = ndtri(arr)
+    z = ndtri(arr, out=out)
     if np.isscalar(u) or arr.ndim == 0:
         return float(z)
     return z
 
 
 def shifted_normals(points: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Standard normals Phi^-1((p + s) mod 1), the uniforms clamped away
-    from 0 and 1, for one point or a block of points."""
-    return inv_normal_cdf(np.clip(apply_shift(points, shift), UNIT_EPS, 1.0 - UNIT_EPS))
+    """Standard normals Phi^-1(((p + s) mod 2^32 + 1/2) 2^-32) of uint32
+    states, for one point or a block of points, in one fresh buffer."""
+    u = np.add(apply_shift(points, shift), 0.5, dtype=np.float64)
+    u *= CELL
+    return inv_normal_cdf(u, out=u)
 
 
 def normal_vector(index: int, shift: np.ndarray, dim: int) -> np.ndarray:
@@ -157,5 +176,4 @@ def normal_vector(index: int, shift: np.ndarray, dim: int) -> np.ndarray:
 
 def normal_block(count: int, shift: np.ndarray, start: int = 0) -> np.ndarray:
     """(count, dim) standard-normal matrix from consecutive shifted points."""
-    shift = np.asarray(shift, dtype=np.float64)
-    return shifted_normals(sobol_block(count, shift.shape[-1], start), shift)
+    return shifted_normals(sobol_block(count, np.shape(shift)[-1], start), shift)

@@ -19,6 +19,12 @@ from typing import Iterable
 import numpy as np
 
 
+# Entries per row block of a reflection's rank-one update.  Each block's
+# outer product goes to one 2 MiB scratch buffer, which fits a core's L2
+# cache, where a single update would write a full (N, n) temporary.
+_UPDATE_BLOCK = 2**18
+
+
 class HouseholderReflection:
     """Reflection I - 2 v v^T / (v^T v) supported on coordinates offset..n.
 
@@ -46,26 +52,42 @@ class HouseholderReflection:
         """U x for a single vector or a (N, n) batch of row vectors."""
         return _reflect_rows(x, [self])
 
-    def _apply_inplace(self, X: np.ndarray) -> None:
-        """Reflect the rows of a writable (N, n) float64 array in place."""
-        if self.is_identity:
-            return
+    def _apply_into(self, X: np.ndarray, out: np.ndarray) -> None:
+        """Write the reflected rows of an (N, n) float64 array X to ``out``,
+        which may be X itself.
+
+        Per element the result is x - (2 x.v) v, computed in row blocks.
+        """
         lo = self.offset - 1
         if X.shape[1] != lo + self.v.size:
             raise ValueError("dimension mismatch")
-        sub = X[:, lo : lo + self.v.size]
+        if out is not X:
+            out[:, :lo] = X[:, :lo]
+        sub, dst = X[:, lo:], out[:, lo:]
         coef = sub @ self.v
         coef *= 2.0
-        sub -= coef[:, None] * self.v
+        rows = max(1, _UPDATE_BLOCK // self.v.size)
+        scratch = np.empty((min(rows, X.shape[0]), self.v.size))
+        for i in range(0, X.shape[0], rows):
+            outer = scratch[: min(rows, X.shape[0] - i)]
+            np.einsum("i,j->ij", coef[i : i + rows], self.v, out=outer)
+            np.subtract(sub[i : i + rows], outer, out=dst[i : i + rows])
 
 
 def _reflect_rows(x: np.ndarray, reflections) -> np.ndarray:
-    """A copy of x, one vector or (N, n) rows, with the reflections applied in order."""
-    out = np.asarray(x, dtype=np.float64).copy()
-    X = out[None, :] if out.ndim == 1 else out
+    """x, one vector or (N, n) rows, with the reflections applied in order,
+    in a new array; the first reflection reads x, the rest work in place."""
+    x = np.asarray(x, dtype=np.float64)
+    X = x.reshape(1, -1) if x.ndim == 1 else x
+    out = np.empty(X.shape)
+    src = X
     for refl in reflections:
-        refl._apply_inplace(X)
-    return out
+        if not refl.is_identity:
+            refl._apply_into(src, out)
+            src = out
+    if src is X:
+        out[...] = X
+    return out.reshape(x.shape)
 
 
 def householder_from_target(a: np.ndarray, k: int = 1) -> HouseholderReflection:
@@ -120,6 +142,12 @@ class TransformChain:
         return self.apply(np.eye(n)).T
 
 
+def _in_span(rem: np.ndarray, w: np.ndarray) -> bool:
+    """Whether the remainder of w outside the earlier columns is at most
+    1e-12 ||w||, so w adds no column (always true for a zero w)."""
+    return bool(np.linalg.norm(rem) <= 1e-12 * np.linalg.norm(w))
+
+
 def _reflection_sequence(vectors: Iterable[np.ndarray]) -> TransformChain:
     """Reflections U_1 ... U_k built from the given vectors in order.
 
@@ -138,7 +166,7 @@ def _reflection_sequence(vectors: Iterable[np.ndarray]) -> TransformChain:
             rem = refl.apply(rem)
         k = len(reflections) + 1
         rem[: k - 1] = 0.0
-        if np.linalg.norm(rem) <= 1e-12 * np.linalg.norm(w):
+        if _in_span(rem, w):
             continue
         reflections.append(householder_from_target(rem, k=k))
     return TransformChain(reflections)
@@ -175,8 +203,9 @@ class ForwardConstruction:
         self._scale = math.sqrt(T / n)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return np.cumsum(x, axis=-1) * self._scale
+        out = np.cumsum(np.asarray(x, dtype=np.float64), axis=-1)
+        out *= self._scale
+        return out
 
 
 class BrownianBridgeConstruction:
@@ -215,14 +244,31 @@ class BrownianBridgeConstruction:
         self._sd_final = math.sqrt(T)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """Bridge paths for one vector or (N, n) rows."""
         x = np.asarray(x, dtype=np.float64)
-        X = x.reshape(-1, self.n)
-        B = np.zeros((X.shape[0], self.n + 1))
-        B[:, self.n] = self._sd_final * X[:, 0]
+        # the transposed input lives only inside _fill, so it is freed
+        # before the output is allocated
+        B = self._fill(np.ascontiguousarray(x.reshape(-1, self.n).T))
+        return np.ascontiguousarray(B[1:].T).reshape(x.shape)
+
+    def _fill(self, Xt: np.ndarray) -> np.ndarray:
+        """Grid values B, (n+1, N), from the transposed normals Xt, (n, N).
+
+        Dimension-major: each midpoint update is a pass over one contiguous
+        row, and per element it is wl B_l + wr B_r + sd x, in that order.
+        """
+        B = np.empty((self.n + 1, Xt.shape[1]))
+        B[0] = 0.0
+        np.multiply(Xt[0], self._sd_final, out=B[self.n])
+        tmp = np.empty(Xt.shape[1])
         for j in range(self._mid.size):
-            m, l, r = self._mid[j], self._left[j], self._right[j]
-            B[:, m] = self._wl[j] * B[:, l] + self._wr[j] * B[:, r] + self._sd[j] * X[:, j + 1]
-        return B[:, 1:].reshape(x.shape)
+            row = B[self._mid[j]]
+            np.multiply(B[self._left[j]], self._wl[j], out=row)
+            np.multiply(B[self._right[j]], self._wr[j], out=tmp)
+            row += tmp
+            np.multiply(Xt[j + 1], self._sd[j], out=tmp)
+            row += tmp
+        return B
 
 
 def pca_factors(n: int, T: float) -> tuple[np.ndarray, np.ndarray]:
@@ -263,20 +309,6 @@ class ChainConstruction:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.base.apply(self.chain.apply(x))
-
-
-_METHODS = {
-    "forward": ForwardConstruction,
-    "brownian_bridge": BrownianBridgeConstruction,
-    "pca": PcaConstruction,
-}
-
-
-def path_construction(method: str, n: int, T: float):
-    """Factory for the single-asset constructions."""
-    if method not in _METHODS:
-        raise ValueError(f"unknown construction method {method!r}")
-    return _METHODS[method](n, T)
 
 
 def construction_matrix(construction) -> np.ndarray:

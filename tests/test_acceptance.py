@@ -60,9 +60,9 @@ def test_criterion_2_linear_algebra_suite():
     for n in (2, 7, 64, 128):
         j = np.arange(1, n + 1)
         Sigma = (1.0 / n) * np.minimum.outer(j, j)
-        for method in ("forward", "brownian_bridge", "pca"):
-            A = tr.construction_matrix(tr.path_construction(method, n, 1.0))
-            assert np.abs(A @ A.T - Sigma).max() <= 1e-9, (method, n)
+        for construction in (tr.ForwardConstruction, tr.BrownianBridgeConstruction, tr.PcaConstruction):
+            A = tr.construction_matrix(construction(n, 1.0))
+            assert np.abs(A @ A.T - Sigma).max() <= 1e-9, (construction.__name__, n)
     # completion reproduces its inputs at 1e-10
     for n, k in ((4, 2), (16, 5), (64, 12)):
         Q, _ = np.linalg.qr(gen.standard_normal((n, n)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qmcpricer import cli, harness
+from qmcpricer.regression import asian_coefficients
 
 
 def _cfg(**kw):
@@ -32,6 +33,11 @@ def test_config_validation():
         _cfg(paths=[48])
     with pytest.raises(ValueError, match="barrier"):
         _cfg(payoff="digital-barrier")
+    for payoff in ("digital-barrier", "asian-barrier"):
+        for bad in (-5.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="barrier must be positive and finite"):
+                _cfg(payoff=payoff, barrier=bad)
+    assert _cfg(payoff="digital-barrier", barrier=1e-3).barrier == 1e-3
     with pytest.raises(ValueError, match="workers"):
         _cfg(workers=0)
     with pytest.raises(ValueError, match="asset"):
@@ -211,6 +217,18 @@ def test_cli_missing_barrier_exits_2():
     assert exc.value.code == 2
 
 
+def test_cli_bad_barrier_exits_2_for_forward():
+    for bad in ("-5", "0", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                [
+                    "price", "--payoff", "digital-barrier", "--barrier", bad,
+                    "--method", "forward", "--n", "8", "--paths", "64", "--batches", "2",
+                ]
+            )
+        assert exc.value.code == 2, bad
+
+
 def test_cli_zero_workers_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["price", "--n", "8", "--paths", "64", "--batches", "2", "--workers", "0"])
@@ -261,6 +279,23 @@ def test_cli_coeffs_output(capsys):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 5
     assert out[1].startswith("1 ")
+
+
+def test_cli_coeffs_asian_barrier_prints_the_reflected_vector(capsys):
+    # at barrier 90 every path starting at 100 is in, so the barrier vector
+    # is zero, the chain skips it and reflects onto the Asian vector
+    rc = cli.main(["coeffs", "--payoff", "asian-barrier", "--barrier", "90", "--n", "4"])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    a = asian_coefficients(100.0, 0.04, 0.2, 1.0, 4).a
+    assert out[0].endswith(f"norm={float(np.linalg.norm(a))!r}")
+    assert [float(row.split()[1]) for row in out[1:]] == [float(v) for v in a]
+    cfg = harness.ExperimentConfig(
+        payoff="asian-barrier", methods=["regression"], n=4, paths=[2], barrier=90.0
+    )
+    chain = harness._build_problem(cfg).constructions["regression"].chain
+    first_column = chain.materialize(4)[:, 0]
+    np.testing.assert_allclose(first_column, a / np.linalg.norm(a), atol=1e-14)
 
 
 # --- benchmark trace hooks --------------------------------------------------

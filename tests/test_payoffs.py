@@ -45,6 +45,16 @@ def test_gbm_path_zero_sigma_deterministic():
     np.testing.assert_allclose(S1, 100.0 * np.exp(0.04 * 0.25 * np.arange(1, 5)), atol=1e-12)
 
 
+def test_gbm_path_leaves_input_unchanged():
+    p = _params()
+    B = np.random.default_rng(29).standard_normal((3, 4))
+    before = B.copy()
+    S = po.gbm_path(p, B)
+    np.testing.assert_array_equal(B, before)
+    drift = (p.r - 0.5 * p.sigma**2) * (p.T / p.n) * np.arange(1, 5)
+    np.testing.assert_array_equal(S, p.S0 * np.exp(drift + p.sigma * before))
+
+
 def test_gbm_path_length_check():
     with pytest.raises(ValueError, match="length"):
         po.gbm_path(_params(), np.zeros(3))
@@ -144,6 +154,18 @@ def test_basket_paths_zero_brownian():
     for i in range(2):
         drift = (0.04 - 0.5 * cov.vols[i] ** 2) * (1.0 / 3.0) * k
         np.testing.assert_allclose(S[i], 100.0 * np.exp(drift), atol=1e-12)
+
+
+def test_basket_paths_leave_input_unchanged():
+    cov = _basket()
+    spec = po.BasketAsianCall(K=100.0, cov=cov, S0=np.array([100.0, 90.0]))
+    Y = np.random.default_rng(30).standard_normal((3, 6))
+    before = Y.copy()
+    S = po.basket_paths(spec, 0.04, Y)
+    np.testing.assert_array_equal(Y, before)
+    drift = (0.04 - 0.5 * cov.vols[:, None] ** 2) * (1.0 / 3.0) * np.arange(1, 4)
+    want = spec.S0[:, None] * np.exp(drift + before.reshape(3, 2, 3))
+    np.testing.assert_array_equal(S, want)
 
 
 def test_basket_single_asset_matches_gbm():

@@ -8,15 +8,17 @@ from qmcpricer import rng
 
 
 def test_first_point_is_origin():
-    assert np.array_equal(rng.sobol_point(0, 4), np.zeros(4))
+    p = rng.sobol_point(0, 4)
+    assert p.dtype == np.uint32
+    assert np.array_equal(p, np.zeros(4))
 
 
 def test_second_point_dim1():
-    assert rng.sobol_point(1, 1)[0] == 0.5
+    assert rng.sobol_point(1, 1)[0] * rng.CELL == 0.5
 
 
 def test_first_coordinate_van_der_corput():
-    pts = [rng.sobol_point(i, 1)[0] for i in (1, 2, 3)]
+    pts = [rng.sobol_point(i, 1)[0] * rng.CELL for i in (1, 2, 3)]
     assert pts[0] == 0.5
     assert set(pts) == {0.5, 0.75, 0.25}
 
@@ -31,24 +33,32 @@ def test_block_matches_scipy():
     # independent implementation of the same direction numbers
     d = 12
     ours = rng.sobol_block(256, d)
+    assert ours.dtype == np.uint32
     ref = qmc.Sobol(d, scramble=False).random(256)
-    np.testing.assert_allclose(ours, ref, atol=0.0)
+    np.testing.assert_allclose(ours * 2.0**-32, ref, rtol=0.0, atol=0.0)
+
+
+def test_block_matches_scipy_high_dimension():
+    # past scipy's first table rows, and over a block that is not a power of two
+    d = 300
+    ours = rng.sobol_block(1000, d) * 2.0**-32
+    ref = qmc.Sobol(d, scramble=False).random(1024)[:1000]
+    np.testing.assert_array_equal(ours, ref)
 
 
 def test_digital_net_stratification():
     # every dyadic interval [i/2^k, (i+1)/2^k) holds exactly one point
     for dim in (1, 2, 5, 17, 32):
         for k in range(1, 11):
-            pts = rng.sobol_block(2**k, dim)
+            states = rng.sobol_block(2**k, dim)
             for j in range(min(dim, 3)):
-                cells = np.floor(pts[:, j] * 2**k).astype(int)
+                cells = (states[:, j] >> (rng.BITS - k)).astype(int)
                 assert sorted(cells) == list(range(2**k))
 
 
 def test_points_distinct_dim1():
-    pts = rng.sobol_block(2**20, 1)[:, 0]
-    ints = np.round(pts * 2**32).astype(np.int64)
-    assert np.unique(ints).size == 2**20
+    states = rng.sobol_block(2**20, 1)[:, 0]
+    assert np.unique(states).size == 2**20
 
 
 def test_unsupported_dimension():
@@ -57,36 +67,84 @@ def test_unsupported_dimension():
     assert rng.max_dimension() >= 2500
 
 
+def _u32(values):
+    return np.array(values, dtype=np.uint32)
+
+
 def test_apply_shift():
+    half, quarter = 2**31, 2**30
     np.testing.assert_array_equal(
-        rng.apply_shift(np.array([0.25, 0.5]), np.array([0.0, 0.0])),
-        np.array([0.25, 0.5]),
+        rng.apply_shift(_u32([quarter, half]), _u32([0, 0])), _u32([quarter, half])
     )
-    np.testing.assert_allclose(rng.apply_shift(np.array([0.75]), np.array([0.5])), [0.25])
+    # 0.75 + 0.5 = 0.25 mod 1, exactly, at 32 bits
+    np.testing.assert_array_equal(rng.apply_shift(_u32([3 * quarter]), _u32([half])), _u32([quarter]))
+    np.testing.assert_array_equal(rng.apply_shift(_u32([2**32 - 1]), _u32([1])), _u32([0]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        rng.apply_shift(_u32([1, 2]), _u32([1]))
+    with pytest.raises(TypeError, match="uint32"):
+        rng.apply_shift(np.array([0.25]), _u32([0]))
 
 
 def test_shift_roundtrip():
     gen = np.random.default_rng(3)
-    p = gen.random(20)
-    s = gen.random(20)
-    back = rng.apply_shift(rng.apply_shift(p, s), 1.0 - s)
-    np.testing.assert_allclose(back, p, atol=1e-15)
+    p = gen.integers(0, 2**32, size=(16, 20), dtype=np.uint32)
+    s = gen.integers(0, 2**32, size=20, dtype=np.uint32)
+    back = rng.apply_shift(rng.apply_shift(p, s), -s)
+    assert back.dtype == np.uint32
+    np.testing.assert_array_equal(back, p)
 
 
 def test_shift_stays_in_unit_interval():
     p = rng.sobol_block(64, 8)
     s = rng.shift_vector(0, 0, 8)
     q = rng.apply_shift(p, s)
-    assert np.all(q >= 0.0) and np.all(q < 1.0)
+    assert q.dtype == np.uint32 and q.shape == p.shape
+    # the shift is exactly (p + s) mod 1 on the points
+    want = (p.astype(np.float64) * 2.0**-32 + s * 2.0**-32) % 1.0
+    np.testing.assert_array_equal(q * 2.0**-32, want)
+    u = (q + 0.5) * rng.CELL
+    assert np.all(u > 0.0) and np.all(u < 1.0)
 
 
 def test_shift_vector_reproducible_and_distinct():
     a = rng.shift_vector(7, 3, 10)
     b = rng.shift_vector(7, 3, 10)
+    assert a.dtype == np.uint32 and a.shape == (10,)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, rng.shift_vector(7, 4, 10))
     assert not np.array_equal(a, rng.shift_vector(8, 3, 10))
-    assert np.all(a >= 0.0) and np.all(a < 1.0)
+    assert np.unique(a).size == a.size
+
+
+def test_shift_vector_is_truncated_philox_uniform():
+    # the uint32 shift is the float shift Generator(Philox(key)).random()
+    # cut to 32 bits, so shifted points move by less than 2^-32 from it
+    for seed, batch, dim in ((0, 0, 5), (7, 3, 300), (2**40, 9, 17)):
+        u = np.random.Generator(np.random.Philox(key=[seed, batch])).random(dim)
+        s = rng.shift_vector(seed, batch, dim)
+        np.testing.assert_array_equal(s, np.floor(u * 2.0**32))
+        assert np.all(u - s * 2.0**-32 < 2.0**-32)
+
+
+def test_midpoint_map_extremes():
+    # state 0 under shift 0 and state 2^32 - 1 map to the outermost cell
+    # midpoints, which pass the domain check with no clamp
+    p = _u32([[0, 2**32 - 1]])
+    z = rng.shifted_normals(p, _u32([0, 0]))
+    want = rng.inv_normal_cdf(np.array([2.0**-33, 1.0 - 2.0**-33]))
+    np.testing.assert_array_equal(z[0], want)
+    assert np.all(np.isfinite(z)) and z[0, 0] == -z[0, 1]
+    # wraparound: state 2^32 - 1 shifted by 1 is state 0
+    np.testing.assert_array_equal(rng.shifted_normals(_u32([2**32 - 1]), _u32([1])), want[:1])
+
+
+def test_shifted_normals_match_reference_formula():
+    p = rng.sobol_block(128, 5, start=3)
+    s = rng.shift_vector(4, 1, 5)
+    u = (((p.astype(np.uint64) + s) % 2**32).astype(np.float64) + 0.5) / 2**32
+    np.testing.assert_array_equal(rng.shifted_normals(p, s), rng.inv_normal_cdf(u))
+    # the inputs are not modified
+    np.testing.assert_array_equal(p, rng.sobol_block(128, 5, start=3))
 
 
 def _Phi(z):
@@ -113,9 +171,19 @@ def test_inv_normal_cdf_monotone():
 
 
 def test_inv_normal_cdf_domain():
-    for bad in (0.0, 1.0, -0.5, 2.0):
+    for bad in (0.0, 1.0, -0.5, 2.0, math.nan):
         with pytest.raises(ValueError, match="out of domain"):
             rng.inv_normal_cdf(bad)
+        with pytest.raises(ValueError, match="out of domain"):
+            rng.inv_normal_cdf(np.array([0.5, bad, 0.25]))
+
+
+def test_inv_normal_cdf_in_place():
+    u = np.array([0.25, 0.5, 0.975])
+    want = rng.inv_normal_cdf(u.copy())
+    z = rng.inv_normal_cdf(u, out=u)
+    assert z is u
+    np.testing.assert_array_equal(u, want)
 
 
 def test_normal_vector_zero_at_half():

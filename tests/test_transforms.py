@@ -6,6 +6,9 @@ import pytest
 from qmcpricer import transforms as tr
 
 
+TIME_CONSTRUCTIONS = (tr.ForwardConstruction, tr.BrownianBridgeConstruction, tr.PcaConstruction)
+
+
 def brownian_cov(n, T):
     j = np.arange(1, n + 1)
     return (T / n) * np.minimum.outer(j, j)
@@ -95,6 +98,27 @@ def test_apply_householder_batch():
         np.testing.assert_allclose(batch[i], refl.apply(X[i]), atol=1e-14)
 
 
+def test_apply_householder_row_blocks_match_one_update_bitwise():
+    # more rows than one block holds, and a last block that is not full
+    gen = np.random.default_rng(4)
+    for n, k in ((300, 1), (300, 7)):
+        target = gen.standard_normal(n)
+        target[: k - 1] = 0.0
+        refl = tr.householder_from_target(target, k=k)
+        rows = tr._UPDATE_BLOCK // refl.v.size
+        X = gen.standard_normal((2 * rows + 5, n))
+        before = X.copy()
+        want = X.copy()
+        sub = want[:, k - 1 :]
+        sub -= (2.0 * (sub @ refl.v))[:, None] * refl.v
+        np.testing.assert_array_equal(refl.apply(X), want)
+        np.testing.assert_array_equal(X, before)
+        # a chain applies its first reflection from the input, the rest in place
+        np.testing.assert_array_equal(
+            tr.TransformChain([refl, refl]).apply(X), refl.apply(refl.apply(X))
+        )
+
+
 def test_chain_product_order_and_orthogonality():
     gen = np.random.default_rng(2)
     r1 = tr.householder_from_target(gen.standard_normal(5))
@@ -147,8 +171,8 @@ def test_complete_larger_set():
 
 def test_construct_path_n1_any_method():
     x = np.array([0.7])
-    for method in ("forward", "brownian_bridge", "pca"):
-        c = tr.path_construction(method, 1, 4.0)
+    for construction in TIME_CONSTRUCTIONS:
+        c = construction(1, 4.0)
         np.testing.assert_allclose(c.apply(x), [2.0 * 0.7], atol=1e-14)
 
 
@@ -168,10 +192,9 @@ def test_pca_example_covariance():
 def test_all_constructions_match_covariance():
     for n in (2, 7, 64, 128):
         Sigma = brownian_cov(n, 1.5)
-        for method in ("forward", "brownian_bridge", "pca"):
-            c = tr.path_construction(method, n, 1.5)
-            A = tr.construction_matrix(c)
-            assert np.abs(A @ A.T - Sigma).max() <= 1e-9, (method, n)
+        for construction in TIME_CONSTRUCTIONS:
+            A = tr.construction_matrix(construction(n, 1.5))
+            assert np.abs(A @ A.T - Sigma).max() <= 1e-9, (construction.__name__, n)
 
 
 def test_pca_factors_against_eigh():
@@ -190,6 +213,40 @@ def test_bridge_terminal_uses_first_normal():
     x[0] = 1.3
     path = c.apply(x)
     assert abs(path[-1] - math.sqrt(2.0) * 1.3) < 1e-14
+
+
+def _bridge_by_columns(c, x):
+    # reference: the path-major column loop, B[:, m] = wl B[:, l] + wr B[:, r] + sd x
+    X = x.reshape(-1, c.n)
+    B = np.zeros((X.shape[0], c.n + 1))
+    B[:, c.n] = c._sd_final * X[:, 0]
+    for j in range(c._mid.size):
+        m, l, r = c._mid[j], c._left[j], c._right[j]
+        B[:, m] = c._wl[j] * B[:, l] + c._wr[j] * B[:, r] + c._sd[j] * X[:, j + 1]
+    return B[:, 1:].reshape(x.shape)
+
+
+def test_bridge_dimension_major_matches_column_loop_bitwise():
+    gen = np.random.default_rng(17)
+    for N, n in ((37, 251), (5, 7), (3, 1)):
+        c = tr.BrownianBridgeConstruction(n, 1.7)
+        x = gen.standard_normal((N, n))
+        before = x.copy()
+        out = c.apply(x)
+        assert out.flags.c_contiguous and out.shape == (N, n)
+        np.testing.assert_array_equal(out, _bridge_by_columns(c, x))
+        np.testing.assert_array_equal(x, before)
+    v = gen.standard_normal(9)
+    c = tr.BrownianBridgeConstruction(9, 1.0)
+    np.testing.assert_array_equal(c.apply(v), _bridge_by_columns(c, v))
+
+
+def test_forward_leaves_input_unchanged():
+    x = np.random.default_rng(18).standard_normal((4, 6))
+    before = x.copy()
+    out = tr.ForwardConstruction(6, 2.0).apply(x)
+    np.testing.assert_array_equal(x, before)
+    np.testing.assert_array_equal(out, np.cumsum(before, axis=-1) * math.sqrt(2.0 / 6))
 
 
 def test_bridge_handles_non_power_of_two():
@@ -212,13 +269,6 @@ def test_chain_construction_covariance_preserved():
     c = tr.ChainConstruction(chain, tr.ForwardConstruction(7, 1.0))
     A = tr.construction_matrix(c)
     assert np.abs(A @ A.T - brownian_cov(7, 1.0)).max() <= 1e-9
-
-
-def test_path_construction_unknown_method():
-    with pytest.raises(ValueError, match="unknown construction"):
-        tr.path_construction("haar", 4, 1.0)
-    with pytest.raises(ValueError, match="chain"):
-        tr.path_construction("chain", 4, 1.0)
 
 
 # --- basket -----------------------------------------------------------------
