@@ -20,7 +20,7 @@ from .harness import (
     write_raw_csv,
     write_summary_csv,
 )
-from .lt import LtConfig, LtResult, lt_transform, payoff_gradient_at_zero
+from .lt import LtResult, lt_transform, payoff_gradient_at_zero
 from .payoffs import (
     AsianCall,
     AsianUpIn,
@@ -39,7 +39,6 @@ from .regression import (
     asian_spec,
     asian_variance_report,
     basket_spec,
-    exact_linear_chain,
     logexp_coefficients,
     regression_chain,
     regression_transform,

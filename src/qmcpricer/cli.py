@@ -25,6 +25,7 @@ from .harness import (
     UnsupportedCombinationError,
     regression_vector_for,
     run_experiment,
+    supported_methods,
     timing_report,
     write_raw_csv,
     write_summary_csv,
@@ -105,6 +106,8 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_table1(args) -> int:
     n = args.n
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
     print("# residual variance fraction (V - |a|^2) / V for the Asian payoff, T=1")
     print(f"# r sigma2 discrete_n{n} continuum")
     for r in (0.1, 0.2, 0.3):
@@ -117,7 +120,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_timing(args) -> int:
-    methods = args.method or ["forward", "regression", "pca", "lt"]
+    methods = args.method or supported_methods(args.payoff, ["forward", "regression", "pca", "lt"])
     cfg = _config(args, [args.paths], methods)
     report = timing_report(cfg, repeats=args.repeats)
     print("method setup_ms run_ms total_ms estimate")

@@ -15,15 +15,14 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
 
 from . import rng
 from .brownian_max import barrier_coefficients
-from .lt import LtConfig, lt_transform
+from .lt import lt_transform
 from .payoffs import (
     AsianCall,
     AsianUpIn,
@@ -50,7 +49,6 @@ from .transforms import (
     ForwardConstruction,
     KroneckerConstruction,
     PcaConstruction,
-    _in_span,
     cholesky_psd,
     eigh_factor,
     householder_from_target,
@@ -98,11 +96,15 @@ class ExperimentConfig:
         for N in self.paths:
             if N < 1 or N & (N - 1):
                 raise ValueError("path counts must be powers of two")
+        positive = ()
         if self.payoff in ("digital-barrier", "asian-barrier"):
             if self.barrier is None:
                 raise ValueError(f"payoff {self.payoff!r} requires a barrier level")
-            if not (math.isfinite(self.barrier) and self.barrier > 0.0):
-                raise ValueError(f"barrier must be positive and finite, got {self.barrier!r}")
+            positive = ("barrier", "sigma")  # the barrier moments need both
+        for f in fields(self):
+            v, pos = getattr(self, f.name), f.name in positive
+            if (isinstance(v, float) and not math.isfinite(v)) or (pos and not v > 0.0):
+                raise ValueError(f"{f.name} must be {'positive and ' * pos}finite, got {v!r}")
         if self.payoff == "basket" and self.assets < 1:
             raise ValueError("basket needs at least 1 asset")
 
@@ -218,13 +220,13 @@ _PAYOFF_TABLE = {
 
 
 def _regression(cfg: ExperimentConfig, row: _PayoffRow, dim: int):
-    return regression_chain([partial(p, cfg) for p in row.providers], dim)
+    return regression_chain([p(cfg) for p in row.providers], dim)
 
 
 def _lt(cfg: ExperimentConfig, row: _PayoffRow, dim: int):
     if row.lt_spec is None:
         raise UnsupportedCombinationError(f"method 'lt' unsupported for payoff {cfg.payoff!r}")
-    return lt_transform(row.lt_spec(cfg), LtConfig(k=min(cfg.lt_columns, dim))).chain
+    return lt_transform(row.lt_spec(cfg), min(cfg.lt_columns, dim)).chain
 
 
 # method -> (time factor, asset factor K1 with K1 K1^T = R for baskets,
@@ -241,6 +243,12 @@ PAYOFFS = tuple(_PAYOFF_TABLE)
 METHODS = tuple(_METHOD_TABLE)
 
 
+def supported_methods(payoff: str, methods) -> list[str]:
+    """The given methods that can price the payoff (LT needs a log-exp spec)."""
+    lt_ok = _PAYOFF_TABLE[payoff].lt_spec is not None
+    return [m for m in methods if m != "lt" or lt_ok]
+
+
 def regression_vector_for(cfg: ExperimentConfig) -> RegressionVector:
     """The coefficient vector a the regression chain first reflects onto.
 
@@ -248,7 +256,7 @@ def regression_vector_for(cfg: ExperimentConfig) -> RegressionVector:
     as zero; the first part's vector if every part's is zero.
     """
     vectors = [p(cfg) for p in _PAYOFF_TABLE[cfg.payoff].providers]
-    a = next((w for w in vectors if not _in_span(w, w)), vectors[0])
+    a = next((w for w in vectors if np.any(w)), vectors[0])
     return RegressionVector.from_coefficients(a)
 
 
@@ -362,6 +370,8 @@ def timing_report(
     payoff evaluation.  Setup (determining the transform) is timed
     separately and included in the reported total.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     N = max(cfg.paths)
     dim = _build_problem(replace(cfg, methods=[])).dim
     X = rng.shifted_normals(rng.sobol_block(N, dim), rng.shift_vector(cfg.seed, 0, dim))

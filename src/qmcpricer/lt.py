@@ -9,33 +9,31 @@ gradient and every later maximization degenerates.  Degenerate columns
 fall back to the next canonical direction orthonormalized against the
 columns found so far, and are flagged in the result.
 
-The optimized columns are completed to a product of k Householder
-reflections, applied in O(n k).
+The columns are the first k reflections of the regression chain's
+sequencer over (gradient, e_1, e_2, ...), applied in O(n k).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .regression import LogExpPayoffSpec
-from .transforms import TransformChain, complete_first_k_columns
-
-
-@dataclass
-class LtConfig:
-    """Number of optimized columns and the expansion point (zero only)."""
-
-    k: int = 25
-    x_tilde: np.ndarray | None = None  # None means the zero vector
+from .transforms import TransformChain, _reflections
 
 
 @dataclass
 class LtResult:
     chain: TransformChain
-    columns: np.ndarray  # (n, k) optimized columns
-    degenerate_columns: list[int] = field(default_factory=list)  # 1-based indices
+    n: int  # dimension of the normal vector
+    degenerate_columns: list[int]  # 1-based indices
+
+    @property
+    def columns(self) -> np.ndarray:
+        """(n, k) optimized columns, the first k columns of the chain's product."""
+        return self.chain.apply(np.eye(len(self.chain), self.n)).T
 
 
 def payoff_gradient_at_zero(spec: LogExpPayoffSpec) -> np.ndarray:
@@ -44,46 +42,22 @@ def payoff_gradient_at_zero(spec: LogExpPayoffSpec) -> np.ndarray:
     return spec.c.T @ weights
 
 
-def lt_transform(spec: LogExpPayoffSpec, cfg: LtConfig | None = None) -> LtResult:
-    """Optimized-column transform for a log-exp payoff.
+def lt_transform(spec: LogExpPayoffSpec, k: int = 25) -> LtResult:
+    """Optimized-column transform for a log-exp payoff, with k columns.
 
     Column i is the unit-norm maximizer of the squared linearized
     derivative, i.e. the normalized projection of the payoff gradient onto
     the orthogonal complement of columns 1..i-1.  At the zero expansion
     point the gradient never changes, so columns after the first project
-    to zero and are replaced by canonical directions (flagged).
+    to zero and are replaced by canonical directions (flagged); a zero
+    gradient leaves every column canonical.
     """
-    cfg = cfg or LtConfig()
-    if cfg.x_tilde is not None and np.any(np.asarray(cfg.x_tilde) != 0.0):
-        raise ValueError("only the zero expansion point is supported")
     n = spec.dim
-    if cfg.k < 0 or cfg.k > n:
+    if k < 0 or k > n:
         raise ValueError("k out of range")
-    if cfg.k == 0:
-        return LtResult(chain=TransformChain(), columns=np.zeros((n, 0)))
     grad = payoff_gradient_at_zero(spec)
-    cols: list[np.ndarray] = []
-    degenerate: list[int] = []
-    canon = 0
-    for i in range(cfg.k):
-        cand = grad.copy()
-        for c in cols:
-            cand -= (cand @ c) * c
-        norm = np.linalg.norm(cand)
-        if norm <= 1e-12 * max(1.0, float(np.linalg.norm(grad))):
-            # degenerate: next canonical direction orthogonal to the rest
-            while True:
-                if canon >= n:
-                    raise ValueError("ran out of canonical directions")
-                cand = np.zeros(n)
-                cand[canon] = 1.0
-                canon += 1
-                for c in cols:
-                    cand -= (cand @ c) * c
-                norm = np.linalg.norm(cand)
-                if norm > 1e-8:
-                    break
-            degenerate.append(i + 1)
-        cols.append(cand / norm)
-    chain = complete_first_k_columns(cols)
-    return LtResult(chain=chain, columns=np.column_stack(cols), degenerate_columns=degenerate)
+    vectors = itertools.chain([grad], (np.eye(1, n, j)[0] for j in range(n)))
+    chain = TransformChain(itertools.islice(_reflections(vectors), k))
+    g = np.linalg.norm(grad)
+    first = 1 if g <= 1e-12 * g else 2  # the sequencer skips a zero gradient
+    return LtResult(chain, n, list(range(first, k + 1)))

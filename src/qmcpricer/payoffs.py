@@ -49,7 +49,6 @@ class AsianCall:
     """Discounted arithmetic-average call max(mean(S) - K, 0)."""
 
     K: float
-    tag = "asian"
 
 
 @dataclass
@@ -57,7 +56,6 @@ class DigitalUpIn:
     """Pays e^{-rT} if the discrete path maximum reaches the barrier."""
 
     barrier: float
-    tag = "digital_barrier"
 
 
 @dataclass
@@ -66,7 +64,6 @@ class AsianUpIn:
 
     barrier: float
     K: float
-    tag = "asian_barrier"
 
 
 @dataclass
@@ -76,8 +73,6 @@ class BasketAsianCall:
     K: float
     cov: BasketCovSpec
     S0: np.ndarray
-
-    tag = "basket"
 
     def __post_init__(self):
         self.S0 = np.asarray(self.S0, dtype=np.float64)

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .transforms import (
     BasketCovSpec,
     TransformChain,
-    _reflection_sequence,
+    _reflections,
     basket_forward_matrix,
 )
 
@@ -193,38 +193,22 @@ def variance_report_continuum(r: float, sigma: float, T: float) -> VarianceRepor
 
 def regression_transform(rv: RegressionVector) -> TransformChain:
     """Single reflection mapping e_1 to a/||a||; identity when ||a|| = 0."""
-    return _reflection_sequence([rv.a])
+    return TransformChain(_reflections([rv.a]))
 
 
-def regression_chain(providers: Sequence[Callable[[], np.ndarray]], n: int) -> TransformChain:
+def regression_chain(vectors: Sequence[np.ndarray], n: int) -> TransformChain:
     """Chain U^(1) ... U^(m) for a payoff with m smooth parts.
 
-    Each provider returns the coefficient vector of its part in the
-    original coordinates; the k-th vector is mapped through the transforms
-    built so far (a^(k) under U equals U^T a^(k) under the identity), its
-    leading entries are zeroed, and the next reflection sends the next
-    unit vector to the normalized remainder.  Zero vectors, and vectors
-    already spanned by earlier ones, contribute no reflection.
+    Each vector is the coefficient vector of one part in the original
+    coordinates; the k-th is mapped through the transforms built so far
+    (a^(k) under U equals U^T a^(k) under the identity), its leading
+    entries are zeroed, and the next reflection sends the next unit vector
+    to the normalized remainder.  After at most m reflections every
+    a^(k)^T (U x) depends only on the leading coordinates.  Zero vectors,
+    and vectors already spanned by earlier ones, contribute no reflection.
     """
-
-    def vectors():
-        for k, provider in enumerate(providers, start=1):
-            a = np.asarray(provider(), dtype=np.float64)
-            if a.shape != (n,):
-                raise ValueError(f"provider {k} returned shape {a.shape}, expected ({n},)")
-            yield a
-
-    return _reflection_sequence(vectors())
-
-
-def exact_linear_chain(ws: Sequence[np.ndarray]) -> TransformChain:
-    """Reflections making every w_k^T (U x) a function of leading coordinates.
-
-    After at most m reflections, w_k^T U x depends only on x_1..x_mhat with
-    mhat <= m.  Vectors already spanned by earlier ones (and zero vectors)
-    are skipped.
-    """
-    vectors = [np.asarray(w, dtype=np.float64) for w in ws]
-    if any(w.shape != (vectors[0].size,) for w in vectors):
-        raise ValueError("all vectors must share one dimension")
-    return _reflection_sequence(vectors)
+    vectors = [np.asarray(a, dtype=np.float64) for a in vectors]
+    for k, a in enumerate(vectors, start=1):
+        if a.shape != (n,):
+            raise ValueError(f"vector {k} has shape {a.shape}, expected ({n},)")
+    return TransformChain(_reflections(vectors))

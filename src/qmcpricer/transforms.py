@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -125,8 +125,8 @@ class TransformChain:
     U^T x.  Individual reflections are symmetric, so only the order flips.
     """
 
-    def __init__(self, reflections: list[HouseholderReflection] | None = None):
-        self.reflections = list(reflections) if reflections else []
+    def __init__(self, reflections: Iterable[HouseholderReflection] = ()):
+        self.reflections = list(reflections)
 
     def __len__(self) -> int:
         return len(self.reflections)
@@ -142,34 +142,26 @@ class TransformChain:
         return self.apply(np.eye(n)).T
 
 
-def _in_span(rem: np.ndarray, w: np.ndarray) -> bool:
-    """Whether the remainder of w outside the earlier columns is at most
-    1e-12 ||w||, so w adds no column (always true for a zero w)."""
-    return bool(np.linalg.norm(rem) <= 1e-12 * np.linalg.norm(w))
-
-
-def _reflection_sequence(vectors: Iterable[np.ndarray]) -> TransformChain:
-    """Reflections U_1 ... U_k built from the given vectors in order.
+def _reflections(vectors: Iterable[np.ndarray]) -> Iterator[HouseholderReflection]:
+    """Lazily yield reflections U_1, U_2, ... built from the given vectors.
 
     Each vector w is reflected through the reflections built so far (which
     gives U^T w for their product U), its leading k-1 entries are zeroed,
     and U_k, with k = reflections so far + 1, maps e_k to the remainder,
-    so the leading columns of the product span the vectors seen so far.
-    A vector whose remainder is at most 1e-12 ||w|| already lies in the
-    span of the earlier columns and adds no reflection.  The inputs are
-    not modified.
+    so the leading columns of the product span the vectors seen so far:
+    column k is the normalized projection of w onto the complement of the
+    earlier columns.  A vector whose remainder is at most 1e-12 ||w||
+    already lies in that span and adds no reflection.  The inputs are not
+    modified; wrap the generator in ``TransformChain`` to use the product.
     """
-    reflections: list[HouseholderReflection] = []
+    built: list[HouseholderReflection] = []
     for w in vectors:
-        rem = np.array(w, dtype=np.float64)
-        for refl in reflections:
-            rem = refl.apply(rem)
-        k = len(reflections) + 1
-        rem[: k - 1] = 0.0
-        if _in_span(rem, w):
+        rem = _reflect_rows(w, built)
+        rem[: len(built)] = 0.0
+        if np.linalg.norm(rem) <= 1e-12 * np.linalg.norm(w):
             continue
-        reflections.append(householder_from_target(rem, k=k))
-    return TransformChain(reflections)
+        built.append(householder_from_target(rem, k=len(built) + 1))
+        yield built[-1]
 
 
 def complete_first_k_columns(columns: list[np.ndarray]) -> TransformChain:
@@ -187,7 +179,7 @@ def complete_first_k_columns(columns: list[np.ndarray]) -> TransformChain:
     G = np.array([[ci @ cj for cj in cols] for ci in cols])
     if np.abs(G - np.eye(len(cols))).max() > 1e-10:
         raise ValueError("columns not orthonormal")
-    return _reflection_sequence(cols)
+    return TransformChain(_reflections(cols))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,15 @@ def test_config_validation():
             with pytest.raises(ValueError, match="barrier must be positive and finite"):
                 _cfg(payoff=payoff, barrier=bad)
     assert _cfg(payoff="digital-barrier", barrier=1e-3).barrier == 1e-3
+    for name in ("s0", "strike", "rate", "sigma", "maturity", "rho", "sigma_min", "sigma_max"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                _cfg(**{name: bad})
+    for payoff in ("digital-barrier", "asian-barrier"):
+        for bad in (0.0, -0.2, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                _cfg(payoff=payoff, barrier=110.0, sigma=bad)
+    assert _cfg(payoff="basket", sigma=0.0).sigma == 0.0
     with pytest.raises(ValueError, match="workers"):
         _cfg(workers=0)
     with pytest.raises(ValueError, match="asset"):
@@ -150,6 +159,11 @@ def test_summary_csv_deterministic_bytes(tmp_path):
     assert p1.read_text().splitlines()[0] == "payoff,method,n,N,mean,stddev,batches"
 
 
+def test_timing_report_rejects_zero_repeats():
+    with pytest.raises(ValueError, match="repeats"):
+        harness.timing_report(_cfg(), repeats=0)
+
+
 def test_timing_report_shape():
     cfg = _cfg(methods=["forward", "regression"], paths=[256], batches=2)
     rows = harness.timing_report(cfg, repeats=2)
@@ -227,6 +241,58 @@ def test_cli_bad_barrier_exits_2_for_forward():
                 ]
             )
         assert exc.value.code == 2, bad
+
+
+def test_cli_coeffs_nan_sigma_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coeffs", "--payoff", "digital-barrier", "--barrier", "110", "--sigma", "nan", "--n", "4"])
+    assert exc.value.code == 2
+
+
+def test_cli_nonfinite_price_inputs_exit_2():
+    for flag, bad in (
+        ("--s0", "inf"), ("--strike", "nan"), ("--rate", "nan"), ("--maturity", "inf"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["price", flag, bad, "--n", "8", "--paths", "64", "--batches", "2"])
+        assert exc.value.code == 2, flag
+
+
+def test_cli_barrier_zero_sigma_exits_2_for_every_method():
+    for method in ("forward", "regression"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                [
+                    "price", "--payoff", "digital-barrier", "--barrier", "110", "--sigma", "0",
+                    "--method", method, "--n", "8", "--paths", "64", "--batches", "2",
+                ]
+            )
+        assert exc.value.code == 2, method
+
+
+def test_cli_table1_rejects_n_below_1(capsys):
+    for n in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table1", "--n", n])
+        assert exc.value.code == 2, n
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n must be at least 1" in captured.err
+
+
+def test_cli_timing_default_skips_methods_the_payoff_refuses(capsys):
+    argv = ["timing", "--payoff", "digital-barrier", "--barrier", "110", "--n", "8",
+            "--paths", "64", "--repeats", "1"]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["forward", "regression", "pca"]
+    assert cli.main(argv + ["--method", "lt"]) == 3
+
+
+def test_cli_timing_zero_repeats_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["timing", "--n", "8", "--paths", "64", "--repeats", "0"])
+    assert exc.value.code == 2
 
 
 def test_cli_zero_workers_exits_2():
@@ -316,5 +382,23 @@ def test_benchmark_trace_hooks_resolve():
         assert tracer.missing == []
         harness.run_experiment(_cfg(methods=["regression"]))
         assert tracer.returns["coefficients"] is not None
+    finally:
+        tracer.uninstall()
+
+
+def test_benchmark_lt_trace_counts():
+    # lt.degenerate_columns is an exact benchmark metric read from the
+    # LtResult that harness.lt_transform returns: at n = 8 the chain has
+    # 8 columns, the first from the gradient and 7 degenerate.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install(harness)
+    try:
+        harness.run_experiment(_cfg(methods=["lt"]))
+        assert tracer.counts["lt.degenerate_columns"] == 7
+        assert tracer.counts["transforms.reflections"] > 0
     finally:
         tracer.uninstall()

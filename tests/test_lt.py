@@ -5,25 +5,20 @@ import pytest
 
 from qmcpricer import lt
 from qmcpricer import regression as reg
+from qmcpricer import transforms as tr
 
 
 def test_zero_columns_is_identity():
     spec = reg.asian_spec(100.0, 0.04, 0.2, 1.0, 8)
-    res = lt.lt_transform(spec, lt.LtConfig(k=0))
+    res = lt.lt_transform(spec, 0)
     assert len(res.chain) == 0
     assert res.columns.shape == (8, 0)
-
-
-def test_nonzero_expansion_point_rejected():
-    spec = reg.asian_spec(100.0, 0.04, 0.2, 1.0, 4)
-    with pytest.raises(ValueError, match="zero expansion point"):
-        lt.lt_transform(spec, lt.LtConfig(k=1, x_tilde=np.ones(4)))
 
 
 def test_column_count_validation():
     spec = reg.asian_spec(100.0, 0.04, 0.2, 1.0, 4)
     with pytest.raises(ValueError):
-        lt.lt_transform(spec, lt.LtConfig(k=5))
+        lt.lt_transform(spec, 5)
 
 
 def test_gradient_at_zero_asian():
@@ -40,7 +35,7 @@ def test_gradient_at_zero_asian():
 
 def test_first_column_is_normalized_gradient():
     spec = reg.asian_spec(100.0, 0.04, 0.2, 1.0, 16)
-    res = lt.lt_transform(spec, lt.LtConfig(k=1))
+    res = lt.lt_transform(spec, 1)
     q = lt.payoff_gradient_at_zero(spec)
     np.testing.assert_allclose(res.columns[:, 0], q / np.linalg.norm(q), atol=1e-12)
     e1 = np.zeros(16)
@@ -50,14 +45,14 @@ def test_first_column_is_normalized_gradient():
 
 def test_columns_orthonormal():
     spec = reg.asian_spec(100.0, 0.04, 0.2, 1.0, 32)
-    res = lt.lt_transform(spec, lt.LtConfig(k=8))
+    res = lt.lt_transform(spec, 8)
     G = res.columns.T @ res.columns
     np.testing.assert_allclose(G, np.eye(8), atol=1e-10)
 
 
 def test_chain_orthogonal_and_matches_columns():
     spec = reg.asian_spec(100.0, 0.04, 0.2, 1.0, 24)
-    res = lt.lt_transform(spec, lt.LtConfig(k=5))
+    res = lt.lt_transform(spec, 5)
     U = res.chain.materialize(24)
     np.testing.assert_allclose(U.T @ U, np.eye(24), atol=1e-10)
     np.testing.assert_allclose(U[:, :5], res.columns, atol=1e-10)
@@ -65,7 +60,7 @@ def test_chain_orthogonal_and_matches_columns():
 
 def test_application_cost_bounded_by_k():
     spec = reg.asian_spec(100.0, 0.04, 0.2, 1.0, 64)
-    res = lt.lt_transform(spec, lt.LtConfig(k=4))
+    res = lt.lt_transform(spec, 4)
     assert len(res.chain) <= 4
 
 
@@ -74,7 +69,7 @@ def test_first_column_near_regression_direction():
     # angle between them stays below a few degrees
     rv = reg.asian_coefficients(100.0, 0.04, 0.2, 1.0, 250)
     spec = reg.asian_spec(100.0, 0.04, 0.2, 1.0, 250)
-    res = lt.lt_transform(spec, lt.LtConfig(k=1))
+    res = lt.lt_transform(spec, 1)
     cosine = float(res.columns[:, 0] @ (rv.a / rv.norm))
     assert math.degrees(math.acos(min(cosine, 1.0))) < 5.0
 
@@ -82,10 +77,8 @@ def test_first_column_near_regression_direction():
 def test_degenerate_directions_fall_back_to_canonical():
     # rank-one exponent matrix: every gradient direction coincides, so all
     # columns past the first must come from the canonical completion
-    w = np.array([0.5, 0.5])
-    c = np.vstack([np.full(4, 0.3), np.full(4, 0.3)])
-    spec = reg.LogExpPayoffSpec(w=w, c=c, d=np.zeros((2, 4)))
-    res = lt.lt_transform(spec, lt.LtConfig(k=3))
+    spec = _rank_one_spec()
+    res = lt.lt_transform(spec, 3)
     assert res.degenerate_columns == [2, 3]
     G = res.columns.T @ res.columns
     np.testing.assert_allclose(G, np.eye(3), atol=1e-10)
@@ -97,9 +90,76 @@ def test_asian_columns_past_first_are_degenerate():
     # with a zero expansion point the gradient is one fixed vector, so every
     # later column has zero projected gradient and falls back to canonical
     spec = reg.asian_spec(100.0, 0.04, 0.2, 1.0, 16)
-    res = lt.lt_transform(spec, lt.LtConfig(k=8))
+    res = lt.lt_transform(spec, 8)
     assert res.degenerate_columns == list(range(2, 9))
 
 
 def test_default_config_caps_at_25():
-    assert lt.LtConfig().k == 25
+    spec = reg.asian_spec(100.0, 0.04, 0.2, 1.0, 64)
+    assert len(lt.lt_transform(spec).chain) == 25
+
+
+def _gram_schmidt_columns(spec, k):
+    """Reference LT columns: modified Gram-Schmidt on the gradient, with a
+    fallback to the next canonical direction orthonormalized against the
+    columns so far whenever the projected gradient vanishes."""
+    n = spec.dim
+    grad = lt.payoff_gradient_at_zero(spec)
+    cols, degenerate, canon = [], [], 0
+    for i in range(k):
+        cand = grad.copy()
+        for c in cols:
+            cand -= (cand @ c) * c
+        norm = np.linalg.norm(cand)
+        if norm <= 1e-12 * max(1.0, float(np.linalg.norm(grad))):
+            while True:
+                cand = np.zeros(n)
+                cand[canon] = 1.0
+                canon += 1
+                for c in cols:
+                    cand -= (cand @ c) * c
+                norm = np.linalg.norm(cand)
+                if norm > 1e-8:
+                    break
+            degenerate.append(i + 1)
+        cols.append(cand / norm)
+    return np.column_stack(cols), degenerate
+
+
+def _rank_one_spec():
+    w = np.array([0.5, 0.5])
+    c = np.vstack([np.full(4, 0.3), np.full(4, 0.3)])
+    return reg.LogExpPayoffSpec(w=w, c=c, d=np.zeros((2, 4)))
+
+
+def _basket3_spec():
+    corr = np.full((3, 3), 0.3)
+    np.fill_diagonal(corr, 1.0)
+    cov = tr.BasketCovSpec(m=3, n=8, T=1.0, vols=np.array([0.1, 0.2, 0.3]), corr=corr)
+    return reg.basket_spec(cov, np.full(3, 100.0), 0.04)
+
+
+@pytest.mark.parametrize(
+    "spec, k",
+    [
+        (reg.asian_spec(100.0, 0.04, 0.2, 1.0, 64), 25),
+        (_rank_one_spec(), 4),
+        (reg.asian_spec(100.0, 0.04, 0.0, 1.0, 16), 5),
+        (_basket3_spec(), 10),
+    ],
+    ids=["asian-64", "rank-one", "zero-gradient", "basket-3x8"],
+)
+def test_columns_match_gram_schmidt_reference(spec, k):
+    res = lt.lt_transform(spec, k)
+    want, degenerate = _gram_schmidt_columns(spec, k)
+    assert res.columns.shape == want.shape
+    np.testing.assert_allclose(res.columns, want, rtol=0.0, atol=1e-12)
+    assert res.degenerate_columns == degenerate
+
+
+def test_zero_gradient_columns_are_canonical():
+    spec = reg.asian_spec(100.0, 0.04, 0.0, 1.0, 16)
+    assert not np.any(lt.payoff_gradient_at_zero(spec))
+    res = lt.lt_transform(spec, 5)
+    assert res.degenerate_columns == [1, 2, 3, 4, 5]
+    np.testing.assert_array_equal(res.columns, np.eye(16, 5))

@@ -133,7 +133,7 @@ def test_regression_transform_columns_orthogonal_to_a():
 
 def test_regression_chain_single_provider():
     rv = reg.asian_coefficients(1.0, 0.04, 0.2, 1.0, 6)
-    chain = reg.regression_chain([lambda: rv.a], 6)
+    chain = reg.regression_chain([rv.a], 6)
     x = np.random.default_rng(12).standard_normal(6)
     np.testing.assert_allclose(chain.apply(x), reg.regression_transform(rv).apply(x), atol=1e-14)
 
@@ -141,7 +141,7 @@ def test_regression_chain_single_provider():
 def test_regression_chain_two_providers():
     gen = np.random.default_rng(13)
     a1, a2 = gen.standard_normal(8), gen.standard_normal(8)
-    chain = reg.regression_chain([lambda: a1, lambda: a2], 8)
+    chain = reg.regression_chain([a1, a2], 8)
     U = chain.materialize(8)
     np.testing.assert_allclose(U.T @ U, np.eye(8), atol=1e-10)
     # first column carries a1; a2 lies in the span of the first two columns
@@ -157,7 +157,7 @@ def test_regression_chain_second_vector_first_entry_zero():
     first = tr.householder_from_target(a1 / np.linalg.norm(a1))
     tilde = first.apply(a2)  # reflections are symmetric: U1^T a2
     tilde[0] = 0.0
-    chain = reg.regression_chain([lambda: a1, lambda: a2], 5)
+    chain = reg.regression_chain([a1, a2], 5)
     assert len(chain) == 2
     # the second reflection fixes coordinate 1 and maps e2 to the zeroed
     # direction, so column 2 of the product is U1 applied to it
@@ -168,7 +168,7 @@ def test_regression_chain_second_vector_first_entry_zero():
 def test_regression_chain_skips_zero_provider():
     gen = np.random.default_rng(15)
     a2 = gen.standard_normal(4)
-    chain = reg.regression_chain([lambda: np.zeros(4), lambda: a2], 4)
+    chain = reg.regression_chain([np.zeros(4), a2], 4)
     # the zero vector contributes no reflection; a2 still lands in column 2
     U = chain.materialize(4)
     resid = a2 - U[:, :2] @ (U[:, :2].T @ a2)
@@ -181,21 +181,21 @@ def test_regression_chain_zero_leading_provider_matches_single():
     bc = barrier_coefficients(100.0, 0.04, 0.2, 1.0, 8, 90.0)
     assert not np.any(bc.a)
     rv = reg.asian_coefficients(100.0, 0.04, 0.2, 1.0, 8)
-    chain = reg.regression_chain([lambda: bc.a, lambda: rv.a], 8)
+    chain = reg.regression_chain([bc.a, rv.a], 8)
     np.testing.assert_array_equal(chain.materialize(8), reg.regression_transform(rv).materialize(8))
 
 
 def test_regression_chain_leaves_provider_arrays_unchanged():
     a2 = np.random.default_rng(20).standard_normal(5)
     before = a2.copy()
-    reg.regression_chain([lambda: np.zeros(5), lambda: a2], 5)
+    reg.regression_chain([np.zeros(5), a2], 5)
     np.testing.assert_array_equal(a2, before)
 
 
 def test_exact_linear_chain_canonical():
     e3 = np.zeros(4)
     e3[2] = 1.0
-    chain = reg.exact_linear_chain([e3])
+    chain = reg.regression_chain([e3], 4)
     assert len(chain) == 1
     U = chain.materialize(4)
     # w^T U x depends on x_1 only
@@ -205,7 +205,7 @@ def test_exact_linear_chain_canonical():
 def test_exact_linear_chain_two_vectors():
     gen = np.random.default_rng(16)
     ws = [gen.standard_normal(8), gen.standard_normal(8)]
-    chain = reg.exact_linear_chain(ws)
+    chain = reg.regression_chain(ws, 8)
     U = chain.materialize(8)
     for w in ws:
         np.testing.assert_allclose((w @ U)[2:], 0.0, atol=1e-12)
@@ -214,14 +214,14 @@ def test_exact_linear_chain_two_vectors():
 def test_exact_linear_chain_dependent_vectors():
     gen = np.random.default_rng(17)
     w = gen.standard_normal(6)
-    chain = reg.exact_linear_chain([w, 2.0 * w, np.zeros(6)])
+    chain = reg.regression_chain([w, 2.0 * w, np.zeros(6)], 6)
     assert len(chain) == 1
     U = chain.materialize(6)
     np.testing.assert_allclose((w @ U)[1:], 0.0, atol=1e-12)
 
 
 def test_exact_linear_chain_all_zero():
-    chain = reg.exact_linear_chain([np.zeros(3), np.zeros(3)])
+    chain = reg.regression_chain([np.zeros(3), np.zeros(3)], 3)
     assert len(chain) == 0
 
 
