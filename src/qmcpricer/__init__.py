@@ -64,6 +64,7 @@ from .transforms import (
     HouseholderReflection,
     KroneckerConstruction,
     PcaConstruction,
+    SequentialChainConstruction,
     TransformChain,
     basket_forward_matrix,
     cholesky_psd,

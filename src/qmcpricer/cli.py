@@ -27,6 +27,7 @@ from .harness import (
     run_experiment,
     supported_methods,
     timing_report,
+    usable_cores,
     write_raw_csv,
     write_summary_csv,
 )
@@ -63,7 +64,12 @@ def _add_market_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma-min", type=float, default=0.1)
     p.add_argument("--sigma-max", type=float, default=0.3)
     p.add_argument("--lt-columns", type=int, default=25)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=usable_cores(),
+        help="threads over each batch's row chunks; estimates do not depend on it",
+    )
     p.add_argument("--full-scale", action="store_true", help="use the full per-payoff n")
 
 

@@ -2,8 +2,12 @@
 
 A run prices one payoff with one or more path constructions over a grid of
 sample sizes N.  Every batch uses the same Sobol points under its own
-random shift derived from (seed, batch), so results are reproducible and
-independent of execution order; batches may run concurrently.
+random shift derived from (seed, batch), so results are reproducible.
+A batch is priced in fixed row chunks (about 4 MiB of normals, at least
+512 rows) on a pool of worker threads; every chunk writes its own slice
+of the payoff vector, so the estimates do not depend on the thread count
+or schedule, and memory does not grow with N beyond the Sobol states and
+the payoffs.
 
 Estimates are deterministic for a given configuration and seed.  Wall
 times in the raw rows are measurements and naturally vary from run to
@@ -13,6 +17,7 @@ run; the summary schema carries no timing column and is byte-stable.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -49,6 +54,7 @@ from .transforms import (
     ForwardConstruction,
     KroneckerConstruction,
     PcaConstruction,
+    SequentialChainConstruction,
     cholesky_psd,
     eigh_factor,
     householder_from_target,
@@ -56,6 +62,23 @@ from .transforms import (
 
 RAW_HEADER = "payoff,method,n,N,batch,estimate,runtime_ms"
 SUMMARY_HEADER = "payoff,method,n,N,mean,stddev,batches"
+
+# Entries of one chunk's (rows, dim) float64 normals: 4 MiB, so a chunk's
+# normals, paths and prices stay within a core's share of the cache.
+_CHUNK_ELEMENTS = 2**19
+# Fewest rows per chunk, whatever the dimension.  The bridge makes about five
+# numpy calls per time step, each over one chunk-long row; below this their
+# fixed cost, paid holding the interpreter lock, outweighs the arithmetic
+# (at n = 2000, 256-row chunks made the bridge slower than one whole batch).
+_MIN_CHUNK_ROWS = 512
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: the default number of worker threads."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 class UnsupportedCombinationError(ValueError):
@@ -81,7 +104,7 @@ class ExperimentConfig:
     sigma_min: float = 0.1
     sigma_max: float = 0.3
     lt_columns: int = 25
-    workers: int = 1
+    workers: int = field(default_factory=usable_cores)
 
     def __post_init__(self):
         if self.payoff not in PAYOFFS:
@@ -91,6 +114,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
         if self.batches < 2:
             raise ValueError("need at least 2 batches")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         for N in self.paths:
@@ -230,13 +255,15 @@ def _lt(cfg: ExperimentConfig, row: _PayoffRow, dim: int):
 
 
 # method -> (time factor, asset factor K1 with K1 K1^T = R for baskets,
-# builder (cfg, payoff row, dim) -> the TransformChain in front, or None)
+# builder (cfg, payoff row, dim) -> the TransformChain in front, or None,
+# and how the chain joins the construction).  Regression's reflections are
+# fused into the construction; LT's 25 run one by one before it.
 _METHOD_TABLE = {
-    "forward": (ForwardConstruction, cholesky_psd, None),
-    "bb": (BrownianBridgeConstruction, cholesky_psd, None),
-    "pca": (PcaConstruction, eigh_factor, None),
-    "regression": (ForwardConstruction, cholesky_psd, _regression),
-    "lt": (ForwardConstruction, cholesky_psd, _lt),
+    "forward": (ForwardConstruction, cholesky_psd, None, None),
+    "bb": (BrownianBridgeConstruction, cholesky_psd, None, None),
+    "pca": (PcaConstruction, eigh_factor, None, None),
+    "regression": (ForwardConstruction, cholesky_psd, _regression, ChainConstruction),
+    "lt": (ForwardConstruction, cholesky_psd, _lt, SequentialChainConstruction),
 }
 
 PAYOFFS = tuple(_PAYOFF_TABLE)
@@ -265,32 +292,67 @@ def _build_problem(cfg: ExperimentConfig) -> _Problem:
     row = _PAYOFF_TABLE[cfg.payoff]
     problem = _Problem(*row.setup(cfg))
     for m in cfg.methods:
-        time_factor, asset_factor, chain = _METHOD_TABLE[m]
+        time_factor, asset_factor, chain, join = _METHOD_TABLE[m]
         construction = time_factor(cfg.n, cfg.maturity)
         if problem.R is not None:
             construction = KroneckerConstruction(asset_factor(problem.R), construction)
         if chain is not None:
-            construction = ChainConstruction(chain(cfg, row, problem.dim), construction)
+            construction = join(chain(cfg, row, problem.dim), construction)
         problem.constructions[m] = construction
     return problem
 
 
-def _run_batch(cfg: ExperimentConfig, problem: _Problem, points: np.ndarray, batch: int):
+def _chunk_rows(dim: int) -> int:
+    """Rows per chunk: the largest power of two whose (rows, dim) array holds
+    at most ``_CHUNK_ELEMENTS`` entries, and at least ``_MIN_CHUNK_ROWS``."""
+    return max(_MIN_CHUNK_ROWS, 1 << max(0, (_CHUNK_ELEMENTS // dim).bit_length() - 1))
+
+
+def _evaluate(pool, problem: _Problem, methods, count: int, normals: Callable):
+    """Payoffs of points 0..count-1 under each method, in row chunks on ``pool``.
+
+    ``normals(lo, hi)`` gives the normals of points lo..hi-1.  Chunk bounds
+    depend on the dimension alone and each chunk writes its own slice, so
+    the payoffs do not depend on the threads.  Returns the (count,) payoff
+    vector per method and the seconds each method spent, summed over chunks.
+    """
+    values = {m: np.empty(count) for m in methods}
+    rows = _chunk_rows(problem.dim)
+
+    def chunk(lo: int) -> list[float]:
+        X = normals(lo, min(lo + rows, count))
+        seconds = []
+        for m in methods:
+            t0 = time.perf_counter()
+            values[m][lo : lo + len(X)] = problem.evaluate(problem.constructions[m], X)
+            seconds.append(time.perf_counter() - t0)
+        return seconds
+
+    starts = range(0, count, rows)
+    # a single chunk runs on the calling thread: no worker thread to start
+    per_chunk = list(pool.map(chunk, starts)) if len(starts) > 1 else [chunk(0)]
+    return values, {m: sum(s[i] for s in per_chunk) for i, m in enumerate(methods)}
+
+
+def _run_batch(cfg: ExperimentConfig, problem: _Problem, points: np.ndarray, batch: int, pool):
     """Price all methods and all prefix sizes for one random shift.
 
     One evaluation at the largest N serves the whole grid: the estimate at
     a smaller N is the mean over the corresponding prefix of payoffs, and
-    the reported per-row runtime is the shared evaluation time.
+    the reported per-row runtime is the method's evaluation time, summed
+    over the batch's chunks.
     """
-    X = rng.shifted_normals(points, rng.shift_vector(cfg.seed, batch, problem.dim))
+    shift = rng.shift_vector(cfg.seed, batch, problem.dim)
+
+    def normals(lo: int, hi: int) -> np.ndarray:
+        return rng.shifted_normals(points[lo:hi], shift)
+
+    values, seconds = _evaluate(pool, problem, cfg.methods, len(points), normals)
     out = []
     for method in cfg.methods:
-        construction = problem.constructions[method]
-        t0 = time.perf_counter()
-        values = problem.evaluate(construction, X)
-        ms = (time.perf_counter() - t0) * 1000.0
+        ms = seconds[method] * 1000.0
         for N in cfg.paths:
-            out.append((method, N, batch, float(values[:N].mean()), ms))
+            out.append((method, N, batch, float(values[method][:N].mean()), ms))
     return out
 
 
@@ -299,15 +361,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[RawRow], list[BatchStats
     problem = _build_problem(cfg)
     max_n = max(cfg.paths)
     points = rng.sobol_block(max_n, problem.dim)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(
-                pool.map(
-                    lambda b: _run_batch(cfg, problem, points, b), range(cfg.batches)
-                )
-            )
-    else:
-        chunks = [_run_batch(cfg, problem, points, b) for b in range(cfg.batches)]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        chunks = [_run_batch(cfg, problem, points, b, pool) for b in range(cfg.batches)]
 
     raw = [
         RawRow(cfg.payoff, method, cfg.n, N, batch, est, ms)
@@ -367,7 +422,8 @@ def timing_report(
 
     The normal inputs are generated once and shared across methods, so the
     per-method time isolates transform setup plus path construction plus
-    payoff evaluation.  Setup (determining the transform) is timed
+    payoff evaluation, run in row chunks on ``cfg.workers`` threads as in
+    ``run_experiment``.  Setup (determining the transform) is timed
     separately and included in the reported total.
     """
     if repeats < 1:
@@ -376,28 +432,28 @@ def timing_report(
     dim = _build_problem(replace(cfg, methods=[])).dim
     X = rng.shifted_normals(rng.sobol_block(N, dim), rng.shift_vector(cfg.seed, 0, dim))
     report = []
-    for method in cfg.methods:
-        t0 = time.perf_counter()
-        problem = _build_problem(replace(cfg, methods=[method]))
-        setup_ms = (time.perf_counter() - t0) * 1000.0
-        construction = problem.constructions[method]
-        times = []
-        estimate = math.nan
-        for _ in range(repeats):
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        for method in cfg.methods:
             t0 = time.perf_counter()
-            values = problem.evaluate(construction, X)
-            times.append((time.perf_counter() - t0) * 1000.0)
-            estimate = float(values.mean())
-        run_ms = float(np.median(times))
-        report.append(
-            {
-                "method": method,
-                "setup_ms": setup_ms,
-                "run_ms": run_ms,
-                "total_ms": setup_ms + run_ms,
-                "estimate": estimate,
-            }
-        )
+            problem = _build_problem(replace(cfg, methods=[method]))
+            setup_ms = (time.perf_counter() - t0) * 1000.0
+            times = []
+            estimate = math.nan
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                values, _ = _evaluate(pool, problem, [method], N, lambda lo, hi: X[lo:hi])
+                times.append((time.perf_counter() - t0) * 1000.0)
+                estimate = float(values[method].mean())
+            run_ms = float(np.median(times))
+            report.append(
+                {
+                    "method": method,
+                    "setup_ms": setup_ms,
+                    "run_ms": run_ms,
+                    "total_ms": setup_ms + run_ms,
+                    "estimate": estimate,
+                }
+            )
     return report
 
 

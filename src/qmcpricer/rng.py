@@ -106,7 +106,8 @@ def sobol_block(count: int, dim: int, start: int = 0) -> np.ndarray:
         idx = np.arange(start, start + count - 1, dtype=np.uint64)
         lsb = ~idx & (idx + 1)  # lowest zero bit of idx, as a power of two
         c = np.log2(lsb.astype(np.float64)).astype(np.int64)
-        rows[1:] = V[c]
+        # in place: V[c] would be a second (count, dim) block
+        np.take(V, c, axis=0, out=rows[1:], mode="clip")
         np.bitwise_xor.accumulate(rows, axis=0, out=rows)
     return rows
 
@@ -140,9 +141,11 @@ def shift_vector(seed: int, batch: int, dim: int) -> np.ndarray:
     the uniform double ``Generator(Philox(key)).random(dim)[j]`` truncated
     to 32 bits, so shifted points stay within 2^-32 of that float shift.
     """
-    if seed < 0 or batch < 0:
-        raise ValueError("seed and batch must be nonnegative")
-    words = np.random.Philox(key=[seed, batch]).random_raw(dim)
+    if not (0 <= seed < 2**64 and 0 <= batch < 2**64):
+        raise ValueError("seed and batch must lie in [0, 2^64)")
+    # as a list, a key word above 2^63 would pass through float64 and collide
+    key = np.array([seed, batch], dtype=np.uint64)
+    words = np.random.Philox(key=key).random_raw(dim)
     return (words >> np.uint64(BITS)).astype(np.uint32)
 
 

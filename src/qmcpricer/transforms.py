@@ -19,9 +19,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
-# Entries per row block of a reflection's rank-one update.  Each block's
-# outer product goes to one 2 MiB scratch buffer, which fits a core's L2
-# cache, where a single update would write a full (N, n) temporary.
+# Entries per row block of a reflection's low-rank update.  Each block's
+# product goes to one 2 MiB scratch buffer, which fits a core's L2 cache,
+# where a single update would write a full (N, n) temporary.
 _UPDATE_BLOCK = 2**18
 
 
@@ -63,15 +63,36 @@ class HouseholderReflection:
             raise ValueError("dimension mismatch")
         if out is not X:
             out[:, :lo] = X[:, :lo]
-        sub, dst = X[:, lo:], out[:, lo:]
-        coef = sub @ self.v
+        sub = X[:, lo:]
+        coef = _row_dots(sub, self.v)
         coef *= 2.0
-        rows = max(1, _UPDATE_BLOCK // self.v.size)
-        scratch = np.empty((min(rows, X.shape[0]), self.v.size))
-        for i in range(0, X.shape[0], rows):
-            outer = scratch[: min(rows, X.shape[0] - i)]
-            np.einsum("i,j->ij", coef[i : i + rows], self.v, out=outer)
-            np.subtract(sub[i : i + rows], outer, out=dst[i : i + rows])
+        _subtract_products(out[:, lo:], sub, coef[None], self.v[None])
+
+
+def _row_dots(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X v for (N, n) rows, as numpy's own reduction.
+
+    ``X @ v`` would be a BLAS gemv, which OpenBLAS runs on its own thread
+    pool at a fixed cost of milliseconds per call, more than the whole dot
+    product of a cache-sized block of rows.
+    """
+    return np.einsum("ij,j->i", X, v)
+
+
+def _subtract_products(dst: np.ndarray, X: np.ndarray, P: np.ndarray, G: np.ndarray) -> None:
+    """dst = X - P^T G for (N, n) rows X, an (m, N) P and an (m, n) G.
+
+    ``dst`` may be X.  The product is formed in row blocks, each in one
+    scratch buffer of at most ``_UPDATE_BLOCK`` entries, instead of as one
+    (N, n) temporary.
+    """
+    N, n = X.shape
+    rows = max(1, _UPDATE_BLOCK // n)
+    scratch = np.empty((min(rows, N), n))
+    for i in range(0, N, rows):
+        block = scratch[: min(rows, N - i)]
+        np.einsum("ki,kj->ij", P[:, i : i + rows], G, out=block)
+        np.subtract(X[i : i + rows], block, out=dst[i : i + rows])
 
 
 def _reflect_rows(x: np.ndarray, reflections) -> np.ndarray:
@@ -291,7 +312,46 @@ class PcaConstruction:
 
 
 class ChainConstruction:
-    """A base construction applied to a transformed normal vector: A U x."""
+    """A base construction C applied to reflected normals, C U x, in one pass.
+
+    The chain U = U_1 ... U_m is taken in compact WY form U = I - V W V^T
+    (Schreiber & Van Loan 1989), with the unit reflection vectors as the
+    columns of V and W upper triangular.  Then C U x = C x - (C V) W V^T x:
+    C V is computed once, by the base, and each row costs one base
+    application, m dot products and one rank-m update of the base's output,
+    instead of m passes over the normals before the base runs.
+    """
+
+    def __init__(self, chain: TransformChain, base):
+        self.chain = chain
+        self.base = base
+        self.n = base.n
+        self.T = base.T
+        self._reflections = [r for r in chain.reflections if not r.is_identity]
+        m = len(self._reflections)
+        V = np.zeros((m, self.n))
+        for V_row, r in zip(V, self._reflections):
+            V_row[r.offset - 1 :] = r.v
+        W = np.zeros((m, m))
+        for j in range(m):
+            W[:j, j] = -2.0 * (W[:j, :j] @ (V[:j] @ V[j]))
+            W[j, j] = 2.0
+        # rows of (C V W)^T; base.apply maps rows x^T to (C x)^T
+        self._update = W.T @ base.apply(V)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        X = x.reshape(-1, self.n)
+        Y = self.base.apply(X)
+        if self._reflections:
+            P = np.array([_row_dots(X[:, r.offset - 1 :], r.v) for r in self._reflections])
+            _subtract_products(Y, Y, P, self._update)
+        return Y.reshape(x.shape)
+
+
+class SequentialChainConstruction:
+    """A base construction applied after the chain, A U x, one reflection at a
+    time: m passes over the normals, then the base."""
 
     def __init__(self, chain: TransformChain, base):
         self.chain = chain

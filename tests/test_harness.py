@@ -1,6 +1,8 @@
 import importlib.util
 import math
 import pathlib
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,6 +100,40 @@ def test_parallel_matches_sequential():
     assert [r.estimate for r in raw_s] == [r.estimate for r in raw_p]
     assert [s.mean for s in stats_s] == [s.mean for s in stats_p]
     assert [s.stddev for s in stats_s] == [s.stddev for s in stats_p]
+
+
+def test_estimates_independent_of_worker_threads():
+    # N below one chunk; basket at dim 2500, whose chunks are 512 rows, not
+    # the 2048 of n = 250; and the two-reflection asian-barrier chain
+    cases = [
+        _cfg(methods=["forward", "regression", "lt"], n=250, paths=[512, 1024], batches=2),
+        _cfg(payoff="basket", methods=["forward", "pca", "regression"], n=250, paths=[2048], assets=10),
+        _cfg(payoff="asian-barrier", methods=["bb", "regression"], n=64, paths=[2**14], barrier=110.0),
+    ]
+    assert harness._chunk_rows(250) == 2048 and harness._chunk_rows(2500) == 512
+    assert harness._chunk_rows(64) == 8192 and harness._chunk_rows(2000) == 512
+    for cfg in cases:
+        runs = [harness.run_experiment(replace(cfg, workers=w))[0] for w in (1, 2, 3)]
+        ests = [[r.estimate for r in raw] for raw in runs]
+        assert ests[0] == ests[1] == ests[2], cfg.payoff
+
+
+def test_peak_memory_flat_in_paths():
+    # Under tracemalloc, going from N = 2^12 to 2^14 may add only the uint32
+    # Sobol states and the (N,) payoff vectors, not (N, n) float64 arrays.
+    def peak(N):
+        cfg = _cfg(methods=["regression"], n=250, paths=[N], workers=1)
+        tracemalloc.start()
+        try:
+            harness.run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2**12)  # direction table and coefficients cached outside the measurement
+    grown = peak(2**14) - peak(2**12)
+    allowed = (2**14 - 2**12) * (250 * 4 + 8)
+    assert grown <= allowed + 2**20, (grown, allowed)
 
 
 def test_grid_prefix_consistency():
@@ -299,6 +335,15 @@ def test_cli_zero_workers_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["price", "--n", "8", "--paths", "64", "--batches", "2", "--workers", "0"])
     assert exc.value.code == 2
+
+
+def test_cli_seed_outside_64_bits_exits_2():
+    # the shift generator is keyed by (seed, batch) words of 64 bits
+    for seed in ("18446744073709551616", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["price", "--n", "4", "--paths", "4", "--batches", "2", "--seed", seed])
+        assert exc.value.code == 2, seed
+    assert cli.main(["price", "--n", "4", "--paths", "4", "--batches", "2", "--seed", str(2**64 - 1)]) == 0
 
 
 def test_basket_pca_equal_vols_agrees_with_forward():

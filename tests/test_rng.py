@@ -116,6 +116,15 @@ def test_shift_vector_reproducible_and_distinct():
     assert np.unique(a).size == a.size
 
 
+def test_shift_vector_seeds_above_2_63_are_distinct():
+    # every 64-bit seed is its own key: none rounds through float64
+    top = [rng.shift_vector(s, 1, 8) for s in (2**64 - 1, 2**64 - 2, 2**63 + 5, 2**63 + 6)]
+    assert len({t.tobytes() for t in top}) == len(top)
+    for bad in (2**64, -1):
+        with pytest.raises(ValueError, match="2\\^64"):
+            rng.shift_vector(bad, 0, 8)
+
+
 def test_shift_vector_is_truncated_philox_uniform():
     # the uint32 shift is the float shift Generator(Philox(key)).random()
     # cut to 32 bits, so shifted points move by less than 2^-32 from it

@@ -110,7 +110,8 @@ def test_apply_householder_row_blocks_match_one_update_bitwise():
         before = X.copy()
         want = X.copy()
         sub = want[:, k - 1 :]
-        sub -= (2.0 * (sub @ refl.v))[:, None] * refl.v
+        # the row dots are numpy's own reduction, not a BLAS gemv
+        sub -= (2.0 * np.einsum("ij,j->i", sub, refl.v))[:, None] * refl.v
         np.testing.assert_array_equal(refl.apply(X), want)
         np.testing.assert_array_equal(X, before)
         # a chain applies its first reflection from the input, the rest in place
@@ -269,6 +270,72 @@ def test_chain_construction_covariance_preserved():
     c = tr.ChainConstruction(chain, tr.ForwardConstruction(7, 1.0))
     A = tr.construction_matrix(c)
     assert np.abs(A @ A.T - brownian_cov(7, 1.0)).max() <= 1e-9
+
+
+def _fused_chains_and_bases():
+    """(label, chain, base) cases of the fused construction: the regression
+    chains of the Asian call (one reflection), the Asian up-and-in at barrier
+    110 (two) and a basket (one, over a Kronecker base), and a reflection
+    with offset 3."""
+    from qmcpricer.brownian_max import barrier_coefficients
+    from qmcpricer.regression import (
+        asian_coefficients,
+        basket_spec,
+        logexp_coefficients,
+        regression_chain,
+    )
+
+    n = 24
+    asian = asian_coefficients(100.0, 0.04, 0.2, 1.0, n).a
+    barrier = barrier_coefficients(100.0, 0.04, 0.2, 1.0, n, 110.0).a
+    offset_target = np.random.default_rng(11).standard_normal(n)
+    offset_target[:2] = 0.0
+    single = {
+        "asian": regression_chain([asian], n),
+        "asian-barrier": regression_chain([barrier, asian], n),
+        "offset 3": tr.TransformChain([tr.householder_from_target(offset_target, k=3)]),
+    }
+    assert len(single["asian-barrier"]) == 2
+    assert single["offset 3"].reflections[0].offset == 3
+    for label, chain in single.items():
+        for cls in TIME_CONSTRUCTIONS:
+            yield f"{label} / {cls.__name__}", chain, cls(n, 1.0)
+    spec = _basket_spec(3, 8, 0.1, [0.1, 0.2, 0.3])
+    a = logexp_coefficients(basket_spec(spec, np.full(3, 100.0), 0.04)).a
+    for make in (_kron_forward, _kron_bridge, _kron_pca):
+        yield f"basket / {make.__name__}", regression_chain([a], spec.dim), make(spec)
+
+
+def test_fused_chain_construction_matches_sequential():
+    # C U x computed as C x - (C V) W V^T x against the reference: the
+    # reflections applied to x one by one, then the base
+    gen = np.random.default_rng(12)
+    for label, chain, base in _fused_chains_and_bases():
+        X = gen.standard_normal((37, base.n))
+        want = base.apply(chain.apply(X))
+        got = tr.ChainConstruction(chain, base).apply(X)
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-12 * scale, label
+        np.testing.assert_allclose(
+            tr.ChainConstruction(chain, base).apply(X[3]), want[3], rtol=0, atol=1e-12 * scale
+        )
+        np.testing.assert_array_equal(
+            tr.SequentialChainConstruction(chain, base).apply(X), want
+        )
+
+
+def test_fused_chain_construction_row_blocks():
+    # more rows than one update block holds: the blocks join seamlessly
+    gen = np.random.default_rng(13)
+    n = 300
+    chain = tr.TransformChain([tr.householder_from_target(gen.standard_normal(n))])
+    base = tr.ForwardConstruction(n, 1.0)
+    X = gen.standard_normal((2 * (tr._UPDATE_BLOCK // n) + 5, n))
+    before = X.copy()
+    want = base.apply(chain.apply(X))
+    got = tr.ChainConstruction(chain, base).apply(X)
+    np.testing.assert_array_equal(X, before)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # --- basket -----------------------------------------------------------------
