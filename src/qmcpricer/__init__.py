@@ -5,7 +5,6 @@ from .brownian_max import (
     QuadratureError,
     adaptive_simpson,
     barrier_coefficients,
-    conditional_exceed_prob,
     indicator_moment,
     prob_max_exceeds,
     weighted_max_expectation,
@@ -37,7 +36,6 @@ from .regression import (
     VarianceReport,
     asian_coefficients,
     asian_spec,
-    asian_variance_report,
     basket_spec,
     logexp_coefficients,
     regression_chain,
@@ -66,7 +64,6 @@ from .transforms import (
     PcaConstruction,
     SequentialChainConstruction,
     TransformChain,
-    basket_forward_matrix,
     cholesky_psd,
     complete_first_k_columns,
     construction_matrix,

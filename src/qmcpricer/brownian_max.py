@@ -112,17 +112,6 @@ def prob_max_exceeds(u: float, nu: float, t: float) -> float:
     return float(_hit_prob(u, nu, t))
 
 
-def conditional_exceed_prob(u: float, x: float, nu: float, remaining: float) -> float:
-    """P(max over the remaining horizon >= u | current level x).
-
-    By the Markov property this is the hitting probability of the shifted
-    barrier u - x over the remaining time; it equals 1 once x >= u.
-    """
-    if remaining <= 0.0:
-        raise ValueError("remaining time must be positive")
-    return prob_max_exceeds(u - x, nu, remaining)
-
-
 def _endpoint_moment(u: float, nu: float, t: float) -> float:
     """E(1_{M^nu_t >= u} B^nu_t) for u > 0, in closed form.
 

@@ -31,7 +31,7 @@ from .harness import (
     write_raw_csv,
     write_summary_csv,
 )
-from .regression import asian_variance_report, variance_report_continuum
+from .regression import asian_spec, variance_report, variance_report_continuum
 
 # full-scale path dimensions per payoff, behind --full-scale
 FULL_SCALE_N = {
@@ -119,7 +119,7 @@ def _cmd_table1(args) -> int:
     for r in (0.1, 0.2, 0.3):
         for s2 in (0.01, 0.02, 0.03, 0.04):
             sigma = math.sqrt(s2)
-            disc = asian_variance_report(r, sigma, 1.0, n).residual_fraction
+            disc = variance_report(asian_spec(1.0, r, sigma, 1.0, n)).residual_fraction
             cont = variance_report_continuum(r, sigma, 1.0).residual_fraction
             print(f"{r} {s2} {disc:.6f} {cont:.6f}")
     return 0

@@ -121,6 +121,8 @@ class ExperimentConfig:
         for N in self.paths:
             if N < 1 or N & (N - 1):
                 raise ValueError("path counts must be powers of two")
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
         positive = ()
         if self.payoff in ("digital-barrier", "asian-barrier"):
             if self.barrier is None:
@@ -130,8 +132,14 @@ class ExperimentConfig:
             v, pos = getattr(self, f.name), f.name in positive
             if (isinstance(v, float) and not math.isfinite(v)) or (pos and not v > 0.0):
                 raise ValueError(f"{f.name} must be {'positive and ' * pos}finite, got {v!r}")
+        for name in ("s0", "maturity"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.payoff == "basket" and self.assets < 1:
             raise ValueError("basket needs at least 1 asset")
+        # the basket takes its vols from sigma_min and sigma_max, not sigma
+        if self.payoff != "basket" and self.sigma < 0.0:
+            raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")
 
 
 @dataclass

@@ -37,9 +37,8 @@ class LtResult:
 
 
 def payoff_gradient_at_zero(spec: LogExpPayoffSpec) -> np.ndarray:
-    """Gradient of the smooth part at X = 0: sum_k w_k e^{rowsum(d_k)} c_k."""
-    weights = spec.w * np.exp(np.sum(spec.d, axis=1))
-    return spec.c.T @ weights
+    """Gradient of the smooth part at X = 0: c^T (w e^d)."""
+    return spec._ct(spec.w * np.exp(spec.d))
 
 
 def lt_transform(spec: LogExpPayoffSpec, k: int = 25) -> LtResult:

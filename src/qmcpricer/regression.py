@@ -5,17 +5,19 @@ part h of a payoff.  A single reflection mapping e_1 to a/||a|| moves the
 best linear approximation of h onto the first coordinate; ||a||^2 of the
 total variance is captured there.
 
-For payoffs of the log-exp family
+For payoffs of the log-exp family on m assets and n time steps
 
-    f(X) = sum_k w_k exp(sum_j (c_kj X_j + d_kj))
+    f(X) = sum_{i,k} w_ik exp(sqrt(dt) sum_j L_ij (X_j1 + ... + X_jk) + d_ik),
 
-everything is available in closed form: with
-w_bar_k = w_k exp(sum_j (c_kj^2 / 2 + d_kj)) and
-c_bar(k1,k2) = sum_i c_{k1,i} c_{k2,i},
+with X asset-major, the exponent of term (i, k) is row (i, k) of
+c = L (x) sqrt(dt) tril(1), and rows (i, k) and (j, l) have inner product
+R_ij min(k, l) dt with R = L L^T.  Everything is available in closed form,
+each in O(m^2 n): with w_bar_ik = w_ik exp(R_ii k dt / 2 + d_ik) and
+N_jk = sum_{l>k} w_bar_jl,
 
-    a_i      = sum_k c_ki w_bar_k
-    ||a||^2  = sum_{k1,k2} w_bar_k1 w_bar_k2 c_bar(k1,k2)
-    V(f(X))  = sum_{k1,k2} w_bar_k1 w_bar_k2 (exp(c_bar(k1,k2)) - 1)
+    a        = c^T w_bar
+    ||a||^2  = a . a
+    V(f(X))  = sum_{i,j,k} expm1(R_ij k dt) (w_bar_ik w_bar_jk + 2 w_bar_ik N_jk)
 """
 
 from __future__ import annotations
@@ -26,76 +28,77 @@ from typing import Sequence
 
 import numpy as np
 
-from .transforms import (
-    BasketCovSpec,
-    TransformChain,
-    _reflections,
-    basket_forward_matrix,
-)
+from .transforms import BasketCovSpec, TransformChain, _reflections, cholesky_psd
+
+
+def _suffix_sums(v: np.ndarray) -> np.ndarray:
+    """s_ik = sum_{l>=k} v_il along the last axis."""
+    return np.cumsum(v[..., ::-1], axis=-1)[..., ::-1]
 
 
 @dataclass
 class LogExpPayoffSpec:
-    """Weighted sum of exponentials of linear forms in the normal vector."""
+    """Weighted sum of exponentials of asset-mixed Brownian paths.
 
-    w: np.ndarray  # (m,) weights
-    c: np.ndarray  # (m, n) coefficients
+    Term (i, k) is w_ik exp(sqrt(dt) sum_j L_ij sum_{l<=k} X_jl + d_ik); the
+    dense coefficient matrix c = L (x) sqrt(dt) tril(1) is never formed.
+    """
+
+    w: np.ndarray  # (m, n) weights
     d: np.ndarray  # (m, n) drifts
+    L: np.ndarray  # (m, m) asset factor
+    dt: float  # time step
 
     def __post_init__(self):
-        self.w = np.atleast_1d(np.asarray(self.w, dtype=np.float64))
-        self.c = np.atleast_2d(np.asarray(self.c, dtype=np.float64))
+        self.w = np.atleast_2d(np.asarray(self.w, dtype=np.float64))
         self.d = np.atleast_2d(np.asarray(self.d, dtype=np.float64))
-        if self.c.shape != self.d.shape or self.w.shape[0] != self.c.shape[0]:
-            raise ValueError("shape mismatch between w, c, d")
-
-    @property
-    def terms(self) -> int:
-        return self.w.shape[0]
+        self.L = np.atleast_2d(np.asarray(self.L, dtype=np.float64))
+        if self.d.shape != self.w.shape or self.L.shape != (self.w.shape[0],) * 2:
+            raise ValueError("shape mismatch between w, d, L")
 
     @property
     def dim(self) -> int:
-        return self.c.shape[1]
+        return self.w.size
+
+    def _ct(self, v: np.ndarray) -> np.ndarray:
+        """c^T v for an (m, n) array v: L^T applied to its suffix sums."""
+        return math.sqrt(self.dt) * (self.L.T @ _suffix_sums(v)).ravel()
 
     def w_bar(self) -> np.ndarray:
-        return self.w * np.exp(np.sum(0.5 * self.c**2 + self.d, axis=1))
+        """w_ik exp(||c_ik||^2 / 2 + d_ik), with ||c_ik||^2 = R_ii k dt."""
+        k = np.arange(1, self.w.shape[1] + 1)
+        row_norms = np.sum(self.L**2, axis=1)[:, None] * (k * self.dt)
+        return self.w * np.exp(0.5 * row_norms + self.d)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """f(x) for a vector or a batch of row vectors."""
         x = np.asarray(x, dtype=np.float64)
-        expo = x @ self.c.T + np.sum(self.d, axis=1)
-        return np.exp(expo) @ self.w
-
-
-def asian_spec(S0: float, r: float, sigma: float, T: float, n: int) -> LogExpPayoffSpec:
-    """Arithmetic-average spec: h(X) = (1/n) sum_k S_k(X)."""
-    dt = T / n
-    k = np.arange(1, n + 1)
-    ind = (np.arange(1, n + 1)[None, :] <= k[:, None]).astype(np.float64)
-    c = sigma * math.sqrt(dt) * ind
-    d = (r - 0.5 * sigma**2) * dt * ind
-    w = np.full(n, S0 / n)
-    return LogExpPayoffSpec(w=w, c=c, d=d)
+        paths = np.cumsum(x.reshape(x.shape[:-1] + self.w.shape), axis=-1)
+        expo = math.sqrt(self.dt) * np.matmul(self.L, paths) + self.d
+        return np.sum(self.w * np.exp(expo), axis=(-2, -1))
 
 
 def basket_spec(cov: BasketCovSpec, S0: np.ndarray, r: float) -> LogExpPayoffSpec:
     """Basket-average spec: h(X) = (1/(nm)) sum_{i,k} S^(i)_k(X).
 
-    Exponent rows are the rows of the forward basket matrix chol(R) (x) S,
-    which already carry the per-asset volatilities; the regression and LT
+    The asset factor is chol(R) of the forward basket construction, which
+    already carries the per-asset volatilities; the regression and LT
     transforms for the basket are computed against this baseline.
     """
     S0 = np.asarray(S0, dtype=np.float64)
     if S0.shape != (cov.m,):
         raise ValueError("S0 must have one entry per asset")
     dt = cov.T / cov.n
-    c = basket_forward_matrix(cov)
     k = np.arange(1, cov.n + 1)
-    drift = (r - 0.5 * cov.vols[:, None] ** 2) * dt * k[None, :]  # (m, n)
-    d = np.zeros_like(c)
-    d[:, 0] = drift.reshape(-1)
-    w = np.repeat(S0 / (cov.n * cov.m), cov.n)
-    return LogExpPayoffSpec(w=w, c=c, d=d)
+    d = (r - 0.5 * cov.vols[:, None] ** 2) * dt * k
+    w = np.repeat(S0[:, None] / (cov.n * cov.m), cov.n, axis=1)
+    return LogExpPayoffSpec(w=w, d=d, L=cholesky_psd(cov.R()), dt=dt)
+
+
+def asian_spec(S0: float, r: float, sigma: float, T: float, n: int) -> LogExpPayoffSpec:
+    """Arithmetic-average spec, the one-asset basket: h(X) = (1/n) sum_k S_k(X)."""
+    cov = BasketCovSpec(m=1, n=n, T=T, vols=np.array([sigma]), corr=np.ones((1, 1)))
+    return basket_spec(cov, np.array([S0]), r)
 
 
 @dataclass
@@ -113,22 +116,12 @@ class RegressionVector:
 
 def logexp_coefficients(spec: LogExpPayoffSpec) -> RegressionVector:
     """Closed-form regression vector a = c^T w_bar."""
-    a = spec.c.T @ spec.w_bar()
-    return RegressionVector.from_coefficients(a)
+    return RegressionVector.from_coefficients(spec._ct(spec.w_bar()))
 
 
 def asian_coefficients(S0: float, r: float, sigma: float, T: float, n: int) -> RegressionVector:
-    """O(n) evaluation of the arithmetic-average coefficients.
-
-    a_i = (S0/n) sigma sqrt(T/n) sum_{k>=i} e^{r k T / n}; the suffix sums
-    replace the dense c^T w_bar product.
-    """
-    dt = T / n
-    k = np.arange(1, n + 1)
-    w_bar = (S0 / n) * np.exp(r * T * k / n)
-    suffix = np.cumsum(w_bar[::-1])[::-1]
-    a = sigma * math.sqrt(dt) * suffix
-    return RegressionVector.from_coefficients(a)
+    """Arithmetic-average coefficients a_i = (S0/n) sigma sqrt(T/n) sum_{k>=i} e^{r k T/n}."""
+    return logexp_coefficients(asian_spec(S0, r, sigma, T, n))
 
 
 @dataclass
@@ -144,30 +137,15 @@ class VarianceReport:
 
 
 def variance_report(spec: LogExpPayoffSpec) -> VarianceReport:
-    """||a||^2 and V(f(X)) from the closed forms (dense m x m sums)."""
+    """||a||^2 and V(f(X)) from the closed forms, by suffix-sum recurrence."""
     w_bar = spec.w_bar()
-    a = spec.c.T @ w_bar
-    c_bar = spec.c @ spec.c.T
-    total = float(w_bar @ (np.exp(c_bar) - 1.0) @ w_bar)
+    a = spec._ct(w_bar)
+    later = np.zeros_like(w_bar)  # N_jk = sum_{l>k} w_bar_jl
+    later[:, :-1] = _suffix_sums(w_bar)[:, 1:]
+    k = np.arange(1, w_bar.shape[1] + 1)
+    E = np.expm1((spec.L @ spec.L.T)[:, :, None] * (k * spec.dt))
+    total = float(np.einsum("ijk,ik,jk->", E, w_bar, w_bar + 2.0 * later))
     return VarianceReport(captured=float(a @ a), total=total)
-
-
-def asian_variance_report(r: float, sigma: float, T: float, n: int) -> VarianceReport:
-    """O(n) exact sums for the arithmetic-average spec.
-
-    Here w_bar_k = (1/n) e^{r T k/n} and c_bar(k1,k2) = sigma^2 T min(k1,k2)/n,
-    so both double sums collapse to suffix-sum recurrences.  The S0 factor is
-    dropped; the residual fraction is scale invariant.
-    """
-    k = np.arange(1, n + 1)
-    w_bar = (1.0 / n) * np.exp(r * T * k / n)
-    suffix = np.cumsum(w_bar[::-1])[::-1]
-    a = sigma * math.sqrt(T / n) * suffix
-    captured = float(a @ a)
-    E = np.exp(sigma**2 * T * k / n)
-    suffix_next = np.concatenate([suffix[1:], [0.0]])
-    total = float(np.sum(w_bar * (E - 1.0) * (w_bar + 2.0 * suffix_next)))
-    return VarianceReport(captured=captured, total=total)
 
 
 def variance_report_continuum(r: float, sigma: float, T: float) -> VarianceReport:

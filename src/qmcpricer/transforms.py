@@ -460,9 +460,3 @@ class KroneckerConstruction:
         m, n = self.K1.shape[0], self.time.n
         Y = self.time.apply(x.reshape(-1, n)).reshape(x.shape[:-1] + (m, n))
         return np.matmul(self.K1, Y).reshape(x.shape)
-
-
-def basket_forward_matrix(spec: BasketCovSpec) -> np.ndarray:
-    """Dense chol(R) (x) S matrix; rows are payoff exponents per (asset, step)."""
-    S = np.tril(np.ones((spec.n, spec.n))) * math.sqrt(spec.T / spec.n)
-    return np.kron(cholesky_psd(spec.R()), S)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from qmcpricer import brownian_max as bm
 
@@ -79,17 +80,6 @@ def test_prob_max_dominates_endpoint():
             for t in (0.25, 1.0, 3.0):
                 lower = _Phi((nu * t - u) / math.sqrt(t))
                 assert bm.prob_max_exceeds(u, nu, t) >= lower - 1e-14
-
-
-def test_conditional_exceed_prob():
-    assert bm.conditional_exceed_prob(1.0, 1.0, 0.3, 0.5) == 1.0
-    assert bm.conditional_exceed_prob(1.0, 2.0, 0.3, 0.5) == 1.0
-    assert bm.conditional_exceed_prob(1.0, -40.0, 0.0, 1.0) < 1e-12
-    assert abs(bm.conditional_exceed_prob(1.0, 0.0, 0.0, 1.0) - 0.317311) < 5e-7
-    # shifted-barrier identity
-    assert bm.conditional_exceed_prob(1.0, 0.4, 0.2, 0.7) == bm.prob_max_exceeds(0.6, 0.2, 0.7)
-    with pytest.raises(ValueError):
-        bm.conditional_exceed_prob(1.0, 0.0, 0.0, 0.0)
 
 
 def test_indicator_moment_reduces_to_hitting_probability():
@@ -192,12 +182,13 @@ def test_barrier_coefficients_validation():
         bm.barrier_coefficients(100.0, 0.04, 0.2, 1.0, 4, -1.0)
 
 
-def _simpson_identity_moment(u, nu, t, T, tol=1e-12):
+def _quad_identity_moment(u, nu, t, T):
     """E(1_{M_T >= u} B_t) from the three-integral reflection decomposition.
 
     E(B g(B)) + E(1_{B >= u} B (1 - g(B))) + e^{2 u nu} E(1_{B <= -u} (2u + B)(1 - g(2u + B)))
-    with g the hitting probability over T - t, each term by adaptive Simpson
-    over the N(nu t, t) density truncated at mean +- 8 sd; closed-form at t = T.
+    with g the hitting probability over T - t, each term by QUADPACK over the
+    N(nu t, t) density truncated at mean +- 8 sd, with a break point at the
+    kink x = u where it lies inside the range; closed-form at t = T.
     """
     st, mu = math.sqrt(t), nu * t
 
@@ -222,13 +213,17 @@ def _simpson_identity_moment(u, nu, t, T, tol=1e-12):
         s = math.sqrt(tau)
         return _Phi((nu * tau - v) / s) + math.exp(2.0 * v * nu) * _Phi((-v - nu * tau) / s)
 
+    def quad(f, a, b):
+        points = [u] if a < u < b else None
+        return integrate.quad(f, a, b, points=points, epsabs=1e-14, epsrel=1e-13)[0]
+
     lo, hi = mu - 8.0 * st, mu + 8.0 * st
-    total = bm.adaptive_simpson(lambda x: x * g(x) * dens(x), lo, hi, tol=tol)
+    total = quad(lambda x: x * g(x) * dens(x), lo, hi)
     if hi > u:
-        total += bm.adaptive_simpson(lambda x: x * (1.0 - g(x)) * dens(x), max(u, lo), hi, tol=tol)
+        total += quad(lambda x: x * (1.0 - g(x)) * dens(x), max(u, lo), hi)
     if -u > lo:
-        total += math.exp(2.0 * u * nu) * bm.adaptive_simpson(
-            lambda x: (2.0 * u + x) * (1.0 - g(2.0 * u + x)) * dens(x), lo, min(-u, hi), tol=tol
+        total += math.exp(2.0 * u * nu) * quad(
+            lambda x: (2.0 * u + x) * (1.0 - g(2.0 * u + x)) * dens(x), lo, min(-u, hi)
         )
     return total
 
@@ -239,5 +234,8 @@ def test_barrier_coefficients_match_tight_simpson_full_scale():
     S0, r, sigma, T, n, barrier = 100.0, 0.04, 0.2, 1.0, 2000, 110.0
     bc = bm.barrier_coefficients(S0, r, sigma, T, n, barrier)
     for i in (1, 2, n // 2, n - 1, n):
-        want = _simpson_identity_moment(bc.u_tilde, bc.nu, i * T / n, T)
+        want = _quad_identity_moment(bc.u_tilde, bc.nu, i * T / n, T)
         assert abs(bc.beta[i - 1] - want) <= 1e-9, (i, bc.beta[i - 1], want)
+    # a kink well inside the density, where adaptive Simpson read 0.228661
+    want = _quad_identity_moment(0.3, 0.0, 0.9, 1.0)
+    assert abs(bm.indicator_moment(0.3, 0.0, 0.9, 1.0, "identity") - want) <= 1e-9

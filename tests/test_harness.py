@@ -370,6 +370,21 @@ def test_cli_bad_basket_inputs_exit_2():
         assert exc.value.code == 2, argv
 
 
+def test_cli_coeffs_refuses_what_price_refuses():
+    # coeffs reaches no GbmParams, so the config itself must refuse these
+    for argv in (
+        ["--n", "0"],
+        ["--payoff", "digital-barrier", "--barrier", "110", "--n", "4", "--maturity", "0"],
+        ["--n", "4", "--maturity", "0"],
+        ["--n", "4", "--s0", "-100"],
+        ["--n", "4", "--sigma", "-0.2"],
+    ):
+        for command in (["coeffs"], ["price", "--paths", "64", "--batches", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(command + argv)
+            assert exc.value.code == 2, command + argv
+
+
 def test_cli_coeffs_extreme_barrier_is_finite(capsys):
     # e^{2 u nu} with u = log(2)/0.01 and nu ~ 50 overflows a double
     rc = cli.main(

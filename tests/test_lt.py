@@ -127,9 +127,9 @@ def _gram_schmidt_columns(spec, k):
 
 
 def _rank_one_spec():
-    w = np.array([0.5, 0.5])
-    c = np.vstack([np.full(4, 0.3), np.full(4, 0.3)])
-    return reg.LogExpPayoffSpec(w=w, c=c, d=np.zeros((2, 4)))
+    # gradient (0.3, 0.3, 0.3, 0.3): only the last step is weighted
+    w = np.array([[0.0, 0.0, 0.0, 1.0]])
+    return reg.LogExpPayoffSpec(w=w, d=np.zeros((1, 4)), L=np.array([[0.6]]), dt=0.25)
 
 
 def _basket3_spec():

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qmcpricer import harness, lt
 from qmcpricer import regression as reg
 from qmcpricer.brownian_max import barrier_coefficients
 from qmcpricer import transforms as tr
@@ -25,40 +27,94 @@ def test_asian_coefficients_zero_sigma():
     assert rv.norm == 0.0
 
 
-def test_asian_coefficients_match_logexp():
-    # the O(n) suffix-sum form against the dense closed form
-    for S0, r, sigma, T, n in [(100.0, 0.04, 0.2, 1.0, 16), (75.0, 0.1, 0.35, 2.0, 9)]:
-        fast = reg.asian_coefficients(S0, r, sigma, T, n)
-        dense = reg.logexp_coefficients(reg.asian_spec(S0, r, sigma, T, n))
-        np.testing.assert_allclose(fast.a, dense.a, rtol=1e-12)
-        assert abs(fast.norm - np.linalg.norm(fast.a)) <= 1e-14 * max(1.0, fast.norm)
+def _basket3x8_spec():
+    corr = np.full((3, 3), 0.1)
+    np.fill_diagonal(corr, 1.0)
+    cov = tr.BasketCovSpec(m=3, n=8, T=1.0, vols=np.array([0.1, 0.2, 0.3]), corr=corr)
+    return reg.basket_spec(cov, np.array([90.0, 100.0, 110.0]), 0.04)
+
+
+def _random_spec(seed):
+    gen = np.random.default_rng(seed)
+    m, n = int(gen.integers(1, 5)), int(gen.integers(1, 9))
+    return reg.LogExpPayoffSpec(
+        w=gen.uniform(0.1, 2.0, (m, n)),
+        d=0.2 * gen.standard_normal((m, n)),
+        L=0.5 * gen.standard_normal((m, m)),
+        dt=float(gen.uniform(0.05, 1.0)),
+    )
+
+
+_STRUCTURED_SPECS = {
+    **{f"asian-{n}": reg.asian_spec(100.0, 0.04, 0.2, 1.0, n) for n in (1, 2, 9, 250)},
+    **{f"asian-{n}-zero-sigma": reg.asian_spec(100.0, 0.04, 0.0, 1.0, n) for n in (1, 9)},
+    "asian-9-T2": reg.asian_spec(75.0, 0.1, 0.35, 2.0, 9),
+    "basket-3x8": _basket3x8_spec(),
+    **{f"random-{seed}": _random_spec(seed) for seed in range(6)},
+}
+
+
+def _assert_rel_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("spec", _STRUCTURED_SPECS.values(), ids=_STRUCTURED_SPECS.keys())
+def test_structured_closed_forms_match_dense_reference(spec):
+    # the dense forms over c = L (x) sqrt(dt) tril(1), built here and nowhere else
+    m, n = spec.w.shape
+    c = np.kron(spec.L, math.sqrt(spec.dt) * np.tril(np.ones((n, n))))
+    w, d = spec.w.ravel(), spec.d.ravel()
+    w_bar = w * np.exp(np.sum(0.5 * c**2, axis=1) + d)
+    a = c.T @ w_bar
+    _assert_rel_close(spec.w_bar().ravel(), w_bar)
+    if not np.any(spec.L):
+        assert not np.any(reg.logexp_coefficients(spec).a)
+        assert not np.any(lt.payoff_gradient_at_zero(spec))
+    else:
+        _assert_rel_close(reg.logexp_coefficients(spec).a, a)
+        _assert_rel_close(lt.payoff_gradient_at_zero(spec), c.T @ (w * np.exp(d)))
+    rep = reg.variance_report(spec)
+    _assert_rel_close([rep.captured, rep.total], [a @ a, w_bar @ np.expm1(c @ c.T) @ w_bar])
+    X = np.random.default_rng(m * 100 + n).standard_normal((5, m * n))
+    _assert_rel_close(spec.evaluate(X), np.exp(X @ c.T + d) @ w)
+    _assert_rel_close(spec.evaluate(X[0]), np.exp(c @ X[0] + d) @ w)
 
 
 def test_spec_requires_matching_shapes():
     with pytest.raises(ValueError):
-        reg.LogExpPayoffSpec(w=np.ones(2), c=np.ones((3, 2)), d=np.zeros((3, 2)))
+        reg.LogExpPayoffSpec(w=np.ones((2, 3)), d=np.zeros((2, 4)), L=np.eye(2), dt=0.25)
+    with pytest.raises(ValueError):
+        reg.LogExpPayoffSpec(w=np.ones((2, 3)), d=np.zeros((2, 3)), L=np.eye(3), dt=0.25)
+
+
+def test_basket_closed_forms_allocate_no_dense_matrix():
+    # basket 10 x 250 has dimension 2500: a dense c alone would take 50 MB
+    cfg = harness.ExperimentConfig(
+        payoff="basket", methods=["regression"], n=250, paths=[2], assets=10
+    )
+    tracemalloc.start()
+    try:
+        harness._basket_a(cfg)
+        reg.variance_report(harness._basket_logexp(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak / 2**20
 
 
 def test_variance_report_table_entries():
-    lo = reg.asian_variance_report(0.1, 0.1, 1.0, 2**12)
+    lo = reg.variance_report(reg.asian_spec(1.0, 0.1, 0.1, 1.0, 2**12))
     assert abs(lo.residual_fraction - 0.0025) < 2e-4
-    hi = reg.asian_variance_report(0.3, 0.2, 1.0, 2**12)
+    hi = reg.variance_report(reg.asian_spec(1.0, 0.3, 0.2, 1.0, 2**12))
     assert abs(hi.residual_fraction - 0.0104) < 2e-4
 
 
 def test_variance_report_zero_sigma():
-    rep = reg.asian_variance_report(0.1, 0.0, 1.0, 4)
+    rep = reg.variance_report(reg.asian_spec(1.0, 0.1, 0.0, 1.0, 4))
     assert rep.captured == 0.0 and rep.total == 0.0
     assert rep.residual_fraction == 0.0
-
-
-def test_variance_report_dense_matches_fast():
-    spec = reg.asian_spec(1.0, 0.1, 0.2, 1.0, 32)
-    dense = reg.variance_report(spec)
-    fast = reg.asian_variance_report(0.1, 0.2, 1.0, 32)
-    np.testing.assert_allclose(
-        [dense.captured, dense.total], [fast.captured, fast.total], rtol=1e-10
-    )
 
 
 def test_continuum_values():
@@ -72,7 +128,7 @@ def test_continuum_matches_discrete_limit():
     for r in (0.1, 0.2, 0.3):
         for s2 in (0.01, 0.02, 0.03, 0.04):
             cont = reg.variance_report_continuum(r, math.sqrt(s2), 1.0)
-            disc = reg.asian_variance_report(r, math.sqrt(s2), 1.0, 2**14)
+            disc = reg.variance_report(reg.asian_spec(1.0, r, math.sqrt(s2), 1.0, 2**14))
             assert abs(cont.residual_fraction - disc.residual_fraction) < 1e-4
 
 
@@ -87,9 +143,10 @@ def test_captured_never_exceeds_total():
         m = int(gen.integers(1, 4))
         n = int(gen.integers(1, 5))
         spec = reg.LogExpPayoffSpec(
-            w=gen.uniform(0.1, 2.0, m),
-            c=0.5 * gen.standard_normal((m, n)),
+            w=gen.uniform(0.1, 2.0, (m, n)),
             d=0.2 * gen.standard_normal((m, n)),
+            L=0.5 * gen.standard_normal((m, m)),
+            dt=float(gen.uniform(0.1, 1.0)),
         )
         rep = reg.variance_report(spec)
         assert rep.captured <= rep.total * (1.0 + 1e-12)

@@ -405,13 +405,6 @@ def test_basket_chain_construction_covariance():
     assert np.abs(C @ C.T - target).max() <= 1e-10
 
 
-def test_basket_forward_matrix_is_kron():
-    spec = _basket_spec(2, 2, 0.05, [0.1, 0.3])
-    M = tr.basket_forward_matrix(spec)
-    assert M.shape == (4, 4)
-    np.testing.assert_allclose(M @ M.T, np.kron(spec.R(), brownian_cov(2, 1.0)), atol=1e-12)
-
-
 def test_basket_not_psd_rejected():
     corr = np.array([[1.0, 2.0], [2.0, 1.0]])  # not a correlation matrix
     spec = tr.BasketCovSpec(m=2, n=2, T=1.0, vols=np.array([0.1, 0.2]), corr=corr)
