@@ -8,7 +8,8 @@ Subcommands:
   coeffs       dump the regression coefficient vector
 
 Exit codes: 0 success, 2 bad flags, 3 unsupported (payoff, method)
-combination, 4 numerical failure (a non-finite price estimate).
+combination, 4 numerical failure (a non-finite price estimate or
+regression coefficient).
 """
 
 from __future__ import annotations
@@ -141,6 +142,9 @@ def _cmd_timing(args) -> int:
 def _cmd_coeffs(args) -> int:
     cfg = _config(args, [2], ["regression"])
     rv = regression_vector_for(cfg)
+    if not math.isfinite(rv.norm):  # an inf or NaN coefficient makes the norm one
+        print("numerical failure: non-finite coefficients", file=sys.stderr)
+        return 4
     print(f"# regression coefficients, payoff={cfg.payoff} n={cfg.n} norm={float(rv.norm)!r}")
     for i, v in enumerate(rv.a, start=1):
         print(f"{i} {float(v)!r}")

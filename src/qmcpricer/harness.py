@@ -66,10 +66,12 @@ SUMMARY_HEADER = "payoff,method,n,N,mean,stddev,batches"
 # Entries of one chunk's (rows, dim) float64 normals: 4 MiB, so a chunk's
 # normals, paths and prices stay within a core's share of the cache.
 _CHUNK_ELEMENTS = 2**19
-# Fewest rows per chunk, whatever the dimension.  The bridge makes about five
-# numpy calls per time step, each over one chunk-long row; below this their
-# fixed cost, paid holding the interpreter lock, outweighs the arithmetic
-# (at n = 2000, 256-row chunks made the bridge slower than one whole batch).
+# Fewest rows per chunk, whatever the dimension.  It pays for PCA's dense
+# product, a (rows, n) by (n, n) gemm that runs less efficiently on fewer
+# rows: on digital-2000 (n = 2000, a 2-core Xeon with OpenBLAS), 256-row
+# chunks left every estimate bit-identical but moved a pca operation from
+# 1.375 to 1.521 s (median of six rounds), while bb, which no longer needs
+# the floor, went from 0.505 to 0.464 s.
 _MIN_CHUNK_ROWS = 512
 
 

@@ -399,6 +399,19 @@ def test_cli_coeffs_extreme_barrier_is_finite(capsys):
     assert all(math.isfinite(float(row.split()[1])) for row in rows)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_coeffs_nonfinite_exits_4_like_price(capsys):
+    # exp overflows in w_bar at rate 800: price refuses the estimate, so
+    # coeffs refuses the coefficients, and prints none of them
+    rc = cli.main(["coeffs", "--n", "4", "--rate", "800"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "numerical failure: non-finite coefficients"
+    price = ["price", "--n", "4", "--paths", "64", "--batches", "2", "--rate", "800"]
+    assert cli.main(price + ["--method", "regression"]) == 4
+
+
 def test_cli_coeffs_output(capsys):
     rc = cli.main(["coeffs", "--payoff", "asian", "--n", "4"])
     assert rc == 0

@@ -229,7 +229,13 @@ def _bridge_by_columns(c, x):
 
 def test_bridge_dimension_major_matches_column_loop_bitwise():
     gen = np.random.default_rng(17)
-    for N, n in ((37, 251), (5, 7), (3, 1)):
+    # (600, 2000) and (1100, 251) span 10 and 3 row blocks, the last one
+    # partial; n = 2^k + 1 takes k + 1 bisection levels, so n = 1, 2, 3, 5,
+    # ..., 1025 covers every level count from 0 to 11, each over three blocks
+    shapes = [(37, 251), (5, 7), (3, 1), (0, 5), (600, 2000), (1100, 251)]
+    for n in [1] + [2**k + 1 for k in range(11)]:
+        shapes.append((2 * (tr._BRIDGE_BLOCK // (n + 1)) + 3, n))
+    for N, n in shapes:
         c = tr.BrownianBridgeConstruction(n, 1.7)
         x = gen.standard_normal((N, n))
         before = x.copy()
@@ -240,6 +246,13 @@ def test_bridge_dimension_major_matches_column_loop_bitwise():
     v = gen.standard_normal(9)
     c = tr.BrownianBridgeConstruction(9, 1.0)
     np.testing.assert_array_equal(c.apply(v), _bridge_by_columns(c, v))
+    # basket: K1 applied to each asset's column-loop path; 400 x 3 asset rows
+    # of n = 300 span three row blocks
+    spec = _basket_spec(3, 300, 0.2, [0.1, 0.2, 0.3])
+    kron = _kron_bridge(spec)
+    X = gen.standard_normal((400, spec.dim))
+    paths = _bridge_by_columns(kron.time, X.reshape(-1, spec.n)).reshape(400, 3, spec.n)
+    np.testing.assert_array_equal(kron.apply(X), np.matmul(kron.K1, paths).reshape(X.shape))
 
 
 def test_forward_leaves_input_unchanged():
