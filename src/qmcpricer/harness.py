@@ -7,7 +7,9 @@ A batch is priced in fixed row chunks (about 4 MiB of normals, at least
 512 rows) on a pool of worker threads; every chunk writes its own slice
 of the payoff vector, so the estimates do not depend on the thread count
 or schedule, and memory does not grow with N beyond the Sobol states and
-the payoffs.
+the payoffs.  While a pool of more than one thread runs, OpenBLAS is held
+at one thread for the whole process, so PCA's per-chunk products do not
+start BLAS threads that compete with the chunk threads.
 
 Estimates are deterministic for a given configuration and seed.  Wall
 times in the raw rows are measurements and naturally vary from run to
@@ -16,10 +18,14 @@ run; the summary schema carries no timing column and is byte-stable.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
@@ -66,12 +72,12 @@ SUMMARY_HEADER = "payoff,method,n,N,mean,stddev,batches"
 # Entries of one chunk's (rows, dim) float64 normals: 4 MiB, so a chunk's
 # normals, paths and prices stay within a core's share of the cache.
 _CHUNK_ELEMENTS = 2**19
-# Fewest rows per chunk, whatever the dimension.  It pays for PCA's dense
-# product, a (rows, n) by (n, n) gemm that runs less efficiently on fewer
-# rows: on digital-2000 (n = 2000, a 2-core Xeon with OpenBLAS), 256-row
-# chunks left every estimate bit-identical but moved a pca operation from
-# 1.375 to 1.521 s (median of six rounds), while bb, which no longer needs
-# the floor, went from 0.505 to 0.464 s.
+# Fewest rows per chunk, whatever the dimension.  It was set for PCA's dense
+# (rows, n) by (n, n) gemm while each chunk's gemm started BLAS threads of
+# its own.  With BLAS at one thread under the chunk pool, 256 and 512 rows
+# tie on digital-2000 (n = 2000, a 2-core Xeon with OpenBLAS, medians of 18
+# operations each, every estimate bit-identical): pca 1.222 against 1.227 s,
+# bb 0.548 against 0.554 s.
 _MIN_CHUNK_ROWS = 512
 
 
@@ -81,6 +87,62 @@ def usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's (get, set) thread-count functions as numpy links them, or
+    None when numpy's BLAS is not OpenBLAS."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+# OpenBLAS's thread count is one setting for the whole process, so pools
+# that overlap (nested, or on several caller threads) share one cap: the
+# first to enter saves the count and sets 1, the last to leave restores it.
+_blas_cap_lock = threading.Lock()
+_blas_cap_depth = 0
+_blas_saved_threads = 0
+
+
+@contextmanager
+def _chunk_pool(workers: int):
+    """A pool of ``workers`` chunk threads, with BLAS at one thread while it runs.
+
+    Each chunk thread already has a core; a multithreaded gemm inside a
+    chunk would only compete with the other chunks for it.
+    """
+    global _blas_cap_depth, _blas_saved_threads
+    blas = _openblas_threads() if workers > 1 else None
+    if blas is not None:
+        get, set_ = blas
+        with _blas_cap_lock:
+            if _blas_cap_depth == 0:
+                _blas_saved_threads = get()
+                set_(1)
+            _blas_cap_depth += 1
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield pool
+    finally:
+        if blas is not None:
+            with _blas_cap_lock:
+                _blas_cap_depth -= 1
+                if _blas_cap_depth == 0:
+                    set_(_blas_saved_threads)
 
 
 class UnsupportedCombinationError(ValueError):
@@ -371,7 +433,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[RawRow], list[BatchStats
     problem = _build_problem(cfg)
     max_n = max(cfg.paths)
     points = rng.sobol_block(max_n, problem.dim)
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    with _chunk_pool(cfg.workers) as pool:
         chunks = [_run_batch(cfg, problem, points, b, pool) for b in range(cfg.batches)]
 
     raw = [
@@ -442,7 +504,7 @@ def timing_report(
     dim = _build_problem(replace(cfg, methods=[])).dim
     X = rng.shifted_normals(rng.sobol_block(N, dim), rng.shift_vector(cfg.seed, 0, dim))
     report = []
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    with _chunk_pool(cfg.workers) as pool:
         for method in cfg.methods:
             t0 = time.perf_counter()
             problem = _build_problem(replace(cfg, methods=[method]))

