@@ -62,7 +62,6 @@ from .transforms import (
     HouseholderReflection,
     KroneckerConstruction,
     PcaConstruction,
-    SequentialChainConstruction,
     TransformChain,
     cholesky_psd,
     complete_first_k_columns,

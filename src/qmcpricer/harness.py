@@ -60,7 +60,6 @@ from .transforms import (
     ForwardConstruction,
     KroneckerConstruction,
     PcaConstruction,
-    SequentialChainConstruction,
     cholesky_psd,
     eigh_factor,
     householder_from_target,
@@ -185,6 +184,10 @@ class ExperimentConfig:
         for N in self.paths:
             if N < 1 or N & (N - 1):
                 raise ValueError("path counts must be powers of two")
+        if len(set(self.paths)) < len(self.paths):
+            raise ValueError(f"path counts must be distinct, got {self.paths}")
+        if self.lt_columns < 0:
+            raise ValueError(f"lt_columns must be nonnegative, got {self.lt_columns}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
         positive = ()
@@ -327,15 +330,14 @@ def _lt(cfg: ExperimentConfig, row: _PayoffRow, dim: int):
 
 
 # method -> (time factor, asset factor K1 with K1 K1^T = R for baskets,
-# builder (cfg, payoff row, dim) -> the TransformChain in front, or None,
-# and how the chain joins the construction).  Regression's reflections are
-# fused into the construction; LT's 25 run one by one before it.
+# builder (cfg, payoff row, dim) -> the TransformChain in front, or None).
+# A chain is fused into the construction (``ChainConstruction``).
 _METHOD_TABLE = {
-    "forward": (ForwardConstruction, cholesky_psd, None, None),
-    "bb": (BrownianBridgeConstruction, cholesky_psd, None, None),
-    "pca": (PcaConstruction, eigh_factor, None, None),
-    "regression": (ForwardConstruction, cholesky_psd, _regression, ChainConstruction),
-    "lt": (ForwardConstruction, cholesky_psd, _lt, SequentialChainConstruction),
+    "forward": (ForwardConstruction, cholesky_psd, None),
+    "bb": (BrownianBridgeConstruction, cholesky_psd, None),
+    "pca": (PcaConstruction, eigh_factor, None),
+    "regression": (ForwardConstruction, cholesky_psd, _regression),
+    "lt": (ForwardConstruction, cholesky_psd, _lt),
 }
 
 PAYOFFS = tuple(_PAYOFF_TABLE)
@@ -364,12 +366,12 @@ def _build_problem(cfg: ExperimentConfig) -> _Problem:
     row = _PAYOFF_TABLE[cfg.payoff]
     problem = _Problem(*row.setup(cfg))
     for m in cfg.methods:
-        time_factor, asset_factor, chain, join = _METHOD_TABLE[m]
+        time_factor, asset_factor, chain = _METHOD_TABLE[m]
         construction = time_factor(cfg.n, cfg.maturity)
         if problem.R is not None:
             construction = KroneckerConstruction(asset_factor(problem.R), construction)
         if chain is not None:
-            construction = join(chain(cfg, row, problem.dim), construction)
+            construction = ChainConstruction(chain(cfg, row, problem.dim), construction)
         problem.constructions[m] = construction
     return problem
 

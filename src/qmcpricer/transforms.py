@@ -379,20 +379,6 @@ class ChainConstruction:
         return Y.reshape(x.shape)
 
 
-class SequentialChainConstruction:
-    """A base construction applied after the chain, A U x, one reflection at a
-    time: m passes over the normals, then the base."""
-
-    def __init__(self, chain: TransformChain, base):
-        self.chain = chain
-        self.base = base
-        self.n = base.n
-        self.T = base.T
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.base.apply(self.chain.apply(x))
-
-
 def construction_matrix(construction) -> np.ndarray:
     """Materialize the matrix A with columns A e_j, for validation."""
     return construction.apply(np.eye(construction.n)).T

@@ -36,6 +36,12 @@ def test_config_validation():
         _cfg(batches=1)
     with pytest.raises(ValueError, match="powers of two"):
         _cfg(paths=[48])
+    with pytest.raises(ValueError, match="distinct"):
+        _cfg(paths=[64, 64], batches=4)
+    for method in ("forward", "lt"):
+        with pytest.raises(ValueError, match="lt_columns must be nonnegative"):
+            _cfg(methods=[method], lt_columns=-1)
+    assert _cfg(methods=["lt"], lt_columns=0).lt_columns == 0
     with pytest.raises(ValueError, match="barrier"):
         _cfg(payoff="digital-barrier")
     for payoff in ("digital-barrier", "asian-barrier"):
@@ -433,6 +439,17 @@ def test_cli_timing_zero_repeats_exits_2():
     assert exc.value.code == 2
 
 
+def test_cli_negative_lt_columns_exits_2_for_every_method(capsys):
+    for method in ("forward", "lt"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["price", "--lt-columns", "-1", "--method", method,
+                 "--n", "8", "--paths", "64", "--batches", "2"]
+            )
+        assert exc.value.code == 2, method
+        assert "lt_columns must be nonnegative" in capsys.readouterr().err
+
+
 def test_cli_zero_workers_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["price", "--n", "8", "--paths", "64", "--batches", "2", "--workers", "0"])
@@ -564,7 +581,8 @@ def test_benchmark_trace_hooks_resolve():
 def test_benchmark_lt_trace_counts():
     # lt.degenerate_columns is an exact benchmark metric read from the
     # LtResult that harness.lt_transform returns: at n = 8 the chain has
-    # 8 columns, the first from the gradient and 7 degenerate.
+    # 8 columns, the first from the gradient and 7 degenerate.  LT's chain
+    # is fused into its construction, so no TransformChain.apply runs.
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -574,6 +592,6 @@ def test_benchmark_lt_trace_counts():
     try:
         harness.run_experiment(_cfg(methods=["lt"]))
         assert tracer.counts["lt.degenerate_columns"] == 7
-        assert tracer.counts["transforms.reflections"] > 0
+        assert tracer.counts["transforms.reflections"] == 0
     finally:
         tracer.uninstall()

@@ -300,11 +300,14 @@ def test_chain_construction_covariance_preserved():
 def _fused_chains_and_bases():
     """(label, chain, base) cases of the fused construction: the regression
     chains of the Asian call (one reflection), the Asian up-and-in at barrier
-    110 (two) and a basket (one, over a Kronecker base), and a reflection
-    with offset 3."""
+    110 (two) and a basket (one, over a Kronecker base), a reflection with
+    offset 3, and the LT chains of the Asian call (24 reflections, offsets
+    1..24), of a zero-gradient spec and of a 3-asset basket."""
     from qmcpricer.brownian_max import barrier_coefficients
+    from qmcpricer.lt import lt_transform
     from qmcpricer.regression import (
         asian_coefficients,
+        asian_spec,
         basket_spec,
         logexp_coefficients,
         regression_chain,
@@ -319,16 +322,24 @@ def _fused_chains_and_bases():
         "asian": regression_chain([asian], n),
         "asian-barrier": regression_chain([barrier, asian], n),
         "offset 3": tr.TransformChain([tr.householder_from_target(offset_target, k=3)]),
+        "lt asian": lt_transform(asian_spec(100.0, 0.04, 0.2, 1.0, n), n).chain,
+        "lt zero gradient": lt_transform(asian_spec(100.0, 0.04, 0.0, 1.0, n), 5).chain,
     }
     assert len(single["asian-barrier"]) == 2
     assert single["offset 3"].reflections[0].offset == 3
+    assert [r.offset for r in single["lt asian"].reflections] == list(range(1, n + 1))
     for label, chain in single.items():
         for cls in TIME_CONSTRUCTIONS:
             yield f"{label} / {cls.__name__}", chain, cls(n, 1.0)
     spec = _basket_spec(3, 8, 0.1, [0.1, 0.2, 0.3])
-    a = logexp_coefficients(basket_spec(spec, np.full(3, 100.0), 0.04)).a
-    for make in (_kron_forward, _kron_bridge, _kron_pca):
-        yield f"basket / {make.__name__}", regression_chain([a], spec.dim), make(spec)
+    logexp = basket_spec(spec, np.full(3, 100.0), 0.04)
+    basket = {
+        "basket": regression_chain([logexp_coefficients(logexp).a], spec.dim),
+        "lt basket": lt_transform(logexp, 10).chain,
+    }
+    for label, chain in basket.items():
+        for make in (_kron_forward, _kron_bridge, _kron_pca):
+            yield f"{label} / {make.__name__}", chain, make(spec)
 
 
 def test_fused_chain_construction_matches_sequential():
@@ -344,23 +355,26 @@ def test_fused_chain_construction_matches_sequential():
         np.testing.assert_allclose(
             tr.ChainConstruction(chain, base).apply(X[3]), want[3], rtol=0, atol=1e-12 * scale
         )
-        np.testing.assert_array_equal(
-            tr.SequentialChainConstruction(chain, base).apply(X), want
-        )
 
 
 def test_fused_chain_construction_row_blocks():
-    # more rows than one update block holds: the blocks join seamlessly
+    # more rows than one update block holds: the rank-m updates of the
+    # blocks join seamlessly, for one reflection and for LT's 25
     gen = np.random.default_rng(13)
     n = 300
-    chain = tr.TransformChain([tr.householder_from_target(gen.standard_normal(n))])
     base = tr.ForwardConstruction(n, 1.0)
     X = gen.standard_normal((2 * (tr._UPDATE_BLOCK // n) + 5, n))
     before = X.copy()
-    want = base.apply(chain.apply(X))
-    got = tr.ChainConstruction(chain, base).apply(X)
-    np.testing.assert_array_equal(X, before)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for m in (1, 25):
+        targets = np.triu(gen.standard_normal((m, n)))  # target k is zero before k
+        chain = tr.TransformChain(
+            tr.householder_from_target(t, k=k) for k, t in enumerate(targets, start=1)
+        )
+        assert not any(r.is_identity for r in chain.reflections)
+        want = base.apply(chain.apply(X))
+        got = tr.ChainConstruction(chain, base).apply(X)
+        np.testing.assert_array_equal(X, before)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), m
 
 
 # --- basket -----------------------------------------------------------------
