@@ -184,6 +184,10 @@ class ExperimentConfig:
         for N in self.paths:
             if N < 1 or N & (N - 1):
                 raise ValueError("path counts must be powers of two")
+            if N > rng.MAX_INDEX:
+                raise ValueError(
+                    f"path counts must not exceed the Sobol index limit 2^{rng.BITS}, got {N}"
+                )
         if len(set(self.paths)) < len(self.paths):
             raise ValueError(f"path counts must be distinct, got {self.paths}")
         if self.lt_columns < 0:
@@ -204,6 +208,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.payoff == "basket" and self.assets < 1:
             raise ValueError("basket needs at least 1 asset")
+        dim = self.n * (self.assets if self.payoff == "basket" else 1)
+        if dim > rng.max_dimension():
+            raise ValueError(
+                f"path dimension {dim} exceeds the Sobol table's {rng.max_dimension()} dimensions"
+            )
         # the basket takes its vols from sigma_min and sigma_max, not sigma
         if self.payoff != "basket" and self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")

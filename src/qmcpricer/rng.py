@@ -6,7 +6,9 @@ table has one line per dimension in the format ``d s a m_1 ... m_s`` where
 ``d`` is the dimension index, ``s`` the degree of the primitive polynomial,
 ``a`` its middle coefficients packed into an integer and ``m_i`` the initial
 direction integers.  Dimension 1 is the van der Corput sequence in base 2
-and carries no table entry.
+and carries no table entry.  The table is parsed once per process into
+numpy columns, and the direction numbers of all its dimensions are derived
+together by one vectorised recurrence, one bit position at a time.
 
 Points are kept as their 32-bit generator states x; the point itself is
 x 2^-32 exactly.  Random shifts are Cranley-Patterson rotations done in
@@ -33,35 +35,58 @@ MAX_INDEX = 1 << BITS
 CELL = 2.0**-BITS
 
 
+def _parse_table(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (s, a, m) of a direction table below its header line: s and a
+    as (dims,) int64 arrays, m as the (max s, dims) initial integers padded
+    with zeros.  Refuses a line whose token count is not 3 + s and dimension
+    numbers that are not 2, 3, ... with no gaps."""
+    body = text.partition("\n")[2]
+    counts = np.array([len(line.split()) for line in body.splitlines()], dtype=np.int64)
+    counts = counts[counts > 0]
+    # numpy's C text parser: at a token that is not an integer it raises, or
+    # in older numpy it warns and stops there, which the size check refuses
+    tokens = np.fromstring(body, dtype=np.int64, sep=" ")
+    if tokens.size != counts.sum():
+        raise ValueError("direction table: every token must be an integer")
+    if counts.size == 0 or counts.min() < 4:
+        raise ValueError("direction table: every line needs d, s, a and m_1 .. m_s")
+    starts = np.cumsum(counts) - counts
+    d, s, a = tokens[starts], tokens[starts + 1], tokens[starts + 2]
+    bad = d[counts != 3 + s]
+    if bad.size:
+        raise ValueError(f"direction table: the line for d={bad[0]} does not hold 3 + s tokens")
+    if np.any(d != np.arange(2, 2 + d.size)):
+        raise ValueError("direction table: dimensions must run 2, 3, ... with no gaps")
+    i = np.arange(s.max())[:, None]
+    m = np.where(i < s, tokens[np.minimum(starts + 3 + i, tokens.size - 1)], 0)
+    return s, a, m
+
+
 @functools.cache
 def _load_directions() -> np.ndarray:
-    """Parse the vendored table into a (BITS, max_dim) uint32 matrix of
-    direction numbers, as 32-bit fixed point values."""
+    """Derive the vendored table's (BITS, max_dim) uint32 matrix of direction
+    numbers, as 32-bit fixed point values.  The recurrence
+    v_j = v_{j-s} ^ (v_{j-s} >> s) ^ (XOR over i < s of a_i v_{j-i})
+    runs for every dimension at once, one bit position j at a time."""
     ref = importlib.resources.files("qmcpricer.data").joinpath("joe-kuo-2600.txt")
-    lines = ref.read_text().splitlines()
-    entries = []
-    for line in lines[1:]:
-        parts = line.split()
-        if not parts:
-            continue
-        d, s, a = int(parts[0]), int(parts[1]), int(parts[2])
-        m = [int(x) for x in parts[3 : 3 + s]]
-        entries.append((d, s, a, m))
-    max_dim = entries[-1][0]
-    V = np.zeros((BITS, max_dim), dtype=np.uint32)
-    for j in range(BITS):
-        V[j, 0] = 1 << (BITS - 1 - j)
-    for d, s, a, m in entries:
-        v = [0] * BITS
-        for j in range(min(s, BITS)):
-            v[j] = m[j] << (BITS - 1 - j)
-        for j in range(s, BITS):
-            vj = v[j - s] ^ (v[j - s] >> s)
-            for i in range(1, s):
-                if (a >> (s - 1 - i)) & 1:
-                    vj ^= v[j - i]
-            v[j] = vj
-        V[:, d - 1] = v
+    s, a, m = _parse_table(ref.read_text())
+    m = m[:BITS]
+    shifts = BITS - 1 - np.arange(BITS)
+    V = np.zeros((BITS, s.size + 1), dtype=np.uint32)
+    V[:, 0] = 1 << shifts  # dimension 1: van der Corput
+    W = V[:, 1:]
+    W[: len(m)] = m << shifts[: len(m), None]
+    # masks[i] is all ones in the columns whose coefficient a_i is 1, 0 < i < s
+    k = np.arange(len(m))[:, None]
+    a_i = ((a >> np.maximum(s - 1 - k, 0)) & 1 == 1) & (0 < k) & (k < s)
+    masks = np.where(a_i, np.uint32(0xFFFFFFFF), np.uint32(0))
+    cols, s32 = np.arange(s.size), s.astype(np.uint32)
+    for j in range(1, BITS):
+        back = W[np.maximum(j - s, 0), cols]
+        v = back ^ (back >> s32)
+        for i in range(1, min(j, len(m))):
+            v ^= W[j - i] & masks[i]
+        W[j] = np.where(j >= s, v, W[j])  # rows j < s hold the initial m_j
     return V
 
 

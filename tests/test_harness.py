@@ -1,6 +1,8 @@
 import importlib.util
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -10,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmcpricer import cli, harness
+from qmcpricer import cli, harness, rng
 from qmcpricer.regression import asian_coefficients
 
 
@@ -62,6 +64,17 @@ def test_config_validation():
         _cfg(workers=0)
     with pytest.raises(ValueError, match="asset"):
         _cfg(payoff="basket", assets=0)
+    # the path dimension, n or n x assets, must fit the Sobol table
+    top = rng.max_dimension()
+    for kw in (dict(n=top + 1), dict(payoff="basket", assets=11, n=250)):
+        with pytest.raises(ValueError, match=f"path dimension {kw['n'] * kw.get('assets', 1)}"):
+            _cfg(**kw)
+    assert _cfg(n=top).n == top
+    assert _cfg(payoff="basket", assets=10, n=250).assets == 10
+    # so must the path count, 2^32 at most
+    with pytest.raises(ValueError, match="path counts must not exceed the Sobol index limit 2\\^32"):
+        _cfg(paths=[2 * rng.MAX_INDEX])
+    assert _cfg(paths=[rng.MAX_INDEX]).paths == [2**32]
 
 
 def test_zero_sigma_deterministic():
@@ -497,11 +510,25 @@ def test_cli_coeffs_refuses_what_price_refuses():
         ["--n", "4", "--maturity", "0"],
         ["--n", "4", "--s0", "-100"],
         ["--n", "4", "--sigma", "-0.2"],
+        ["--payoff", "basket", "--assets", "11", "--n", "250"],
     ):
         for command in (["coeffs"], ["price", "--paths", "64", "--batches", "2"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(command + argv)
             assert exc.value.code == 2, command + argv
+
+
+def test_python_m_qmcpricer_runs_from_a_checkout():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmcpricer", "price", "--n", "4", "--paths", "64", "--batches", "2"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("asian forward n=4 N=64 ")
 
 
 def test_cli_coeffs_extreme_barrier_is_finite(capsys):

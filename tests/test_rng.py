@@ -1,3 +1,4 @@
+import importlib.resources
 import math
 
 import numpy as np
@@ -44,6 +45,65 @@ def test_block_matches_scipy_high_dimension():
     ours = rng.sobol_block(1000, d) * 2.0**-32
     ref = qmc.Sobol(d, scramble=False).random(1024)[:1000]
     np.testing.assert_array_equal(ours, ref)
+
+
+def _reference_directions():
+    # the per-dimension derivation, one dimension and one bit at a time
+    ref = importlib.resources.files("qmcpricer.data").joinpath("joe-kuo-2600.txt")
+    entries = []
+    for line in ref.read_text().splitlines()[1:]:
+        parts = line.split()
+        if not parts:
+            continue
+        d, s, a = int(parts[0]), int(parts[1]), int(parts[2])
+        entries.append((d, s, a, [int(x) for x in parts[3 : 3 + s]]))
+    V = np.zeros((rng.BITS, entries[-1][0]), dtype=np.uint32)
+    for j in range(rng.BITS):
+        V[j, 0] = 1 << (rng.BITS - 1 - j)
+    for d, s, a, m in entries:
+        v = [0] * rng.BITS
+        for j in range(min(s, rng.BITS)):
+            v[j] = m[j] << (rng.BITS - 1 - j)
+        for j in range(s, rng.BITS):
+            vj = v[j - s] ^ (v[j - s] >> s)
+            for i in range(1, s):
+                if (a >> (s - 1 - i)) & 1:
+                    vj ^= v[j - i]
+            v[j] = vj
+        V[:, d - 1] = v
+    return V
+
+
+def test_directions_match_reference_derivation():
+    V = rng._load_directions()
+    assert V.dtype == np.uint32 and V.shape == (rng.BITS, 2600)
+    np.testing.assert_array_equal(V, _reference_directions())
+
+
+def test_block_matches_scipy_every_dimension():
+    d = rng.max_dimension()
+    ref = qmc.Sobol(d, scramble=False).random(1024)
+    np.testing.assert_array_equal(rng.sobol_block(1024, d) * 2.0**-32, ref)
+
+
+def test_malformed_direction_table_is_refused():
+    header = "d s a m_i\n"
+    good = "2 1 0 1\n3 2 1 1 3\n4 3 1 1 3 1\n"
+    s, a, m = rng._parse_table(header + good)
+    np.testing.assert_array_equal(s, [1, 2, 3])
+    np.testing.assert_array_equal(a, [0, 1, 1])
+    np.testing.assert_array_equal(m, [[1, 1, 1], [0, 3, 3], [0, 0, 1]])
+    for body, match in (
+        ("2 1 0 1\n3 2 1 1 3 7\n", "d=3 does not hold 3 \\+ s tokens"),
+        ("2 1 0 1\n3 2 1 1\n4 3 1 1 3 1\n", "d=3 does not hold 3 \\+ s tokens"),
+        ("2 1 0 1\n3 2 1\n", "every line needs"),
+        ("2 1 0 1\n4 2 1 1 3\n", "no gaps"),
+        ("3 1 0 1\n4 2 1 1 3\n", "no gaps"),
+        ("2 1 0 1\n3 2 1 1 x\n", "integer|read to its end"),
+        ("", "every line needs"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            rng._parse_table(header + body)
 
 
 def test_digital_net_stratification():
