@@ -2,8 +2,6 @@
 
 from .brownian_max import (
     BarrierCoefficients,
-    QuadratureError,
-    adaptive_simpson,
     barrier_coefficients,
     indicator_moment,
     prob_max_exceeds,
@@ -47,8 +45,6 @@ from .rng import (
     apply_shift,
     inv_normal_cdf,
     max_dimension,
-    normal_block,
-    normal_vector,
     shift_vector,
     shifted_normals,
     sobol_block,

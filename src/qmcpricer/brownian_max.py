@@ -44,43 +44,6 @@ _GRADE_MIN, _GRADE_MAX = -5, 5
 _CHUNK_NODES = 2**17
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-9, max_depth: int = 60) -> float:
-    """Adaptive Simpson rule with absolute tolerance and a recursion cap."""
-    if b <= a:
-        return 0.0
-
-    def simpson(lo, flo, hi, fhi, fmid):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, flo, hi, fhi, fmid, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flm = f(lmid)
-        frm = f(rmid)
-        left = simpson(lo, flo, mid, fmid, flm)
-        right = simpson(mid, fmid, hi, fhi, frm)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"adaptive Simpson did not converge on [{lo}, {hi}] at tol {tol}"
-            )
-        half = 0.5 * eps
-        return recurse(lo, flo, mid, fmid, flm, left, half, depth + 1) + recurse(
-            mid, fmid, hi, fhi, frm, right, half, depth + 1
-        )
-
-    fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
-    whole = simpson(a, fa, b, fb, fm)
-    return recurse(a, fa, b, fb, fm, whole, tol, 0)
-
-
 def _hit_prob(u, nu: float, t):
     """P(M^nu_t >= u) for u >= 0, elementwise over arrays u and t.
 
@@ -251,19 +214,20 @@ def barrier_coefficients(
     return BarrierCoefficients(a=a, beta=beta, gamma=gamma, nu=nu, u_tilde=u_tilde)
 
 
-def weighted_max_expectation(
-    h_prime, nu: float, t: float, T: float, f_tag: str = "one", tol: float = 1e-7
-) -> float:
+def weighted_max_expectation(h_prime, nu: float, t: float, T: float, f_tag: str = "one") -> float:
     """E(h(M^nu_T) f(B^nu_t)) for differentiable h with h(0) = 0.
 
     Layer-cake form: the expectation equals
     integral_0^inf h'(u) E(1_{M^nu_T >= u} f(B^nu_t)) du, truncated at
     u_max = |nu| T + 10 sqrt(T) where the hitting probability is negligible,
-    and evaluated by adaptive Simpson over u.
+    and evaluated by Gauss-Legendre with _GL_NODES nodes on each of
+    _DENSITY_PANELS uniform panels of [0, u_max].
     """
     if T <= 0.0 or t <= 0.0 or t > T:
         raise ValueError("need 0 < t <= T")
-    u_max = abs(nu) * T + 10.0 * math.sqrt(T)
-    return adaptive_simpson(
-        lambda u: h_prime(u) * indicator_moment(u, nu, t, T, f_tag), 0.0, u_max, tol=tol
-    )
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    half = 0.5 * (abs(nu) * T + 10.0 * math.sqrt(T)) / _DENSITY_PANELS
+    mids = half * (2.0 * np.arange(_DENSITY_PANELS) + 1.0)
+    u = (mids[:, None] + half * x).ravel().tolist()
+    vals = [h_prime(v) * indicator_moment(v, nu, t, T, f_tag) for v in u]
+    return float(np.tile(half * w, _DENSITY_PANELS) @ vals)

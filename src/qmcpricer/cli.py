@@ -7,9 +7,9 @@ Subcommands:
   timing       per-method wall-time report
   coeffs       dump the regression coefficient vector
 
-Exit codes: 0 success, 2 bad flags, 3 unsupported (payoff, method)
-combination, 4 numerical failure (a non-finite price estimate or
-regression coefficient).
+Exit codes: 0 success, 2 bad flags or a Sobol block too large for memory,
+3 unsupported (payoff, method) combination, 4 numerical failure (a
+non-finite price estimate or regression coefficient, or a float overflow).
 """
 
 from __future__ import annotations
@@ -193,8 +193,13 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedCombinationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OverflowError as exc:
+        print(f"numerical failure: overflow {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
+    except MemoryError as exc:
+        parser.error(f"out of memory: {exc}")  # exits 2
 
 
 if __name__ == "__main__":

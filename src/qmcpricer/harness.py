@@ -51,7 +51,6 @@ from .regression import (
     basket_spec,
     logexp_coefficients,
     regression_chain,
-    regression_transform,  # noqa: F401  (kept for the benchmark's trace hooks)
 )
 from .transforms import (
     BasketCovSpec,
@@ -439,11 +438,19 @@ def _run_batch(cfg: ExperimentConfig, problem: _Problem, points: np.ndarray, bat
     return out
 
 
+def _sobol_block(count: int, dim: int) -> np.ndarray:
+    """``rng.sobol_block``, with a MemoryError that names the block's size."""
+    try:
+        return rng.sobol_block(count, dim)
+    except MemoryError as exc:
+        raise MemoryError(f"no room for N={count} Sobol points in dimension {dim}") from exc
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[RawRow], list[BatchStats]]:
     """Batched randomized-QMC estimates for every (method, N) in the config."""
     problem = _build_problem(cfg)
     max_n = max(cfg.paths)
-    points = rng.sobol_block(max_n, problem.dim)
+    points = _sobol_block(max_n, problem.dim)
     with _chunk_pool(cfg.workers) as pool:
         chunks = [_run_batch(cfg, problem, points, b, pool) for b in range(cfg.batches)]
 
@@ -486,18 +493,6 @@ def write_summary_csv(stats: list[BatchStats], path: str) -> None:
             fh.write(f"{s.payoff},{s.method},{s.n},{s.N},{s.mean!r},{s.stddev!r},{s.batches}\n")
 
 
-def read_raw_csv(path: str) -> list[RawRow]:
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != RAW_HEADER:
-            raise ValueError("unexpected raw CSV header")
-        for line in fh:
-            p, m, n, N, b, est, ms = line.strip().split(",")
-            rows.append(RawRow(p, m, int(n), int(N), int(b), float(est), float(ms)))
-    return rows
-
-
 def timing_report(
     cfg: ExperimentConfig, repeats: int = 5
 ) -> list[dict]:
@@ -513,7 +508,7 @@ def timing_report(
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     N = max(cfg.paths)
     dim = _build_problem(replace(cfg, methods=[])).dim
-    X = rng.shifted_normals(rng.sobol_block(N, dim), rng.shift_vector(cfg.seed, 0, dim))
+    X = rng.shifted_normals(_sobol_block(N, dim), rng.shift_vector(cfg.seed, 0, dim))
     report = []
     with _chunk_pool(cfg.workers) as pool:
         for method in cfg.methods:

@@ -196,12 +196,3 @@ def shifted_normals(points: np.ndarray, shift: np.ndarray) -> np.ndarray:
     u *= CELL
     return inv_normal_cdf(u, out=u)
 
-
-def normal_vector(index: int, shift: np.ndarray, dim: int) -> np.ndarray:
-    """Standard-normal vector for one shifted Sobol point."""
-    return shifted_normals(sobol_point(index, dim), shift)
-
-
-def normal_block(count: int, shift: np.ndarray, start: int = 0) -> np.ndarray:
-    """(count, dim) standard-normal matrix from consecutive shifted points."""
-    return shifted_normals(sobol_block(count, np.shape(shift)[-1], start), shift)

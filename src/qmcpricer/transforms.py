@@ -149,8 +149,7 @@ def householder_from_target(a: np.ndarray, k: int = 1) -> HouseholderReflection:
 class TransformChain:
     """Ordered product U = U_1 U_2 ... U_m of Householder reflections.
 
-    ``apply`` computes U x (rightmost factor first), ``apply_t`` computes
-    U^T x.  Individual reflections are symmetric, so only the order flips.
+    ``apply`` computes U x, the rightmost factor first.
     """
 
     def __init__(self, reflections: Iterable[HouseholderReflection] = ()):
@@ -161,9 +160,6 @@ class TransformChain:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return _reflect_rows(x, reversed(self.reflections))
-
-    def apply_t(self, x: np.ndarray) -> np.ndarray:
-        return _reflect_rows(x, self.reflections)
 
     def materialize(self, n: int) -> np.ndarray:
         """Dense n x n matrix of the product, for validation at small n."""

@@ -11,27 +11,6 @@ def _Phi(z):
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def test_adaptive_simpson_sine():
-    val = bm.adaptive_simpson(math.sin, 0.0, math.pi)
-    assert abs(val - 2.0) < 1e-9
-
-
-def test_adaptive_simpson_empty_interval():
-    assert bm.adaptive_simpson(math.sin, 1.0, 1.0) == 0.0
-    assert bm.adaptive_simpson(math.sin, 2.0, 1.0) == 0.0
-
-
-def test_adaptive_simpson_polynomial_exact():
-    # Simpson is exact on cubics at any depth
-    val = bm.adaptive_simpson(lambda x: x**3 - 2.0 * x, -1.0, 3.0)
-    assert abs(val - (81.0 / 4.0 - 1.0 / 4.0 - 9.0 + 1.0)) < 1e-9
-
-
-def test_adaptive_simpson_depth_exhaustion():
-    with pytest.raises(bm.QuadratureError):
-        bm.adaptive_simpson(lambda x: math.sin(1.0 / (x + 1e-12)), 0.0, 1.0, tol=1e-14, max_depth=3)
-
-
 def test_prob_max_at_zero_barrier():
     for nu in (-1.0, 0.0, 0.7):
         assert bm.prob_max_exceeds(0.0, nu, 1.0) == 1.0
@@ -145,6 +124,26 @@ def test_weighted_max_expectation_first_moment():
 def test_weighted_max_expectation_second_moment():
     got = bm.weighted_max_expectation(lambda u: 2.0 * u, 0.0, 1.0, 1.0, "one")
     assert abs(got - 1.000) < 1e-3
+
+
+def _quad_weighted(h_prime, nu, t, T, f_tag):
+    # QUADPACK over u of h'(u) E(1_{M_T >= u} f(B_t)), on the half-line
+    def f(u):
+        return h_prime(u) * bm.indicator_moment(u, nu, t, T, f_tag)
+
+    return integrate.quad(f, 0.0, math.inf, epsabs=1e-14, epsrel=1e-13)[0]
+
+
+def test_weighted_max_expectation_matches_quad_identity_interior():
+    # E(M_1 B_0.5) with drift: the integrand is the interior-time quadrature
+    got = bm.weighted_max_expectation(lambda u: 1.0, 0.3, 0.5, 1.0, "identity")
+    assert abs(got - _quad_weighted(lambda u: 1.0, 0.3, 0.5, 1.0, "identity")) <= 1e-10
+
+
+def test_weighted_max_expectation_matches_quad_one_with_drift():
+    # E(M_T^2) for negative drift and T != 1
+    got = bm.weighted_max_expectation(lambda u: 2.0 * u, -0.25, 1.5, 1.5, "one")
+    assert abs(got - _quad_weighted(lambda u: 2.0 * u, -0.25, 1.5, 1.5, "one")) <= 1e-10
 
 
 def test_barrier_coefficients_below_spot():

@@ -285,8 +285,8 @@ def test_write_raw_csv_roundtrip(tmp_path):
     harness.write_raw_csv(raw, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "payoff,method,n,N,batch,estimate,runtime_ms"
-    back = harness.read_raw_csv(str(path))
-    assert [(r.payoff, r.method, r.n, r.N, r.batch, r.estimate) for r in back] == [
+    back = [line.split(",") for line in lines[1:]]
+    assert [(p, m, int(n), int(N), int(b), float(est)) for p, m, n, N, b, est, _ in back] == [
         (r.payoff, r.method, r.n, r.N, r.batch, r.estimate) for r in raw
     ]
 
@@ -586,11 +586,44 @@ def test_cli_coeffs_asian_barrier_prints_the_reflected_vector(capsys):
 # --- benchmark trace hooks --------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # gbm_path's sigma**2, barrier_coefficients' sigma**2, and the
+        # batch variance's (e - mean)**2 on estimates near 1e200
+        ["price", "--n", "4", "--paths", "4", "--batches", "2", "--sigma", "1e155"],
+        ["coeffs", "--payoff", "digital-barrier", "--barrier", "110", "--n", "4", "--sigma", "1e155"],
+        ["price", "--n", "4", "--paths", "4", "--batches", "2", "--s0", "1e200", "--strike", "0"],
+    ],
+)
+def test_cli_float_overflow_exits_4(argv, capsys):
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: overflow")
+
+
+def test_cli_sobol_block_out_of_memory_exits_2(monkeypatch, capsys):
+    # a 2^32-point block is 64 GiB at dimension 4; the stand-in refuses it
+    # before anything is allocated
+    def refuse(count, dim, start=0):
+        raise MemoryError
+
+    monkeypatch.setattr(rng, "sobol_block", refuse)
+    argv = ["convergence", "--n", "4", "--log2-min", "32", "--log2-max", "32", "--batches", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "N=4294967296 Sobol points in dimension 4" in capsys.readouterr().err
+
+
 def test_benchmark_trace_hooks_resolve():
     # The pricing benchmark wraps library entry points at the names the
     # harness looks them up by; a name that disappears, or a coefficient
     # function no longer called through the harness namespace, silently
-    # drops a per-layer metric.
+    # drops a per-layer metric.  Two hooks name deleted code: the one-vector
+    # reflection (every regression chain goes through regression_chain) and
+    # the adaptive Simpson rule, which pricing never called.
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -598,9 +631,14 @@ def test_benchmark_trace_hooks_resolve():
     tracer = spans.Tracer()
     tracer.install(harness)
     try:
-        assert tracer.missing == []
+        assert tracer.missing == [
+            "qmcpricer.harness.regression_transform",
+            "qmcpricer.brownian_max.adaptive_simpson",
+        ]
         harness.run_experiment(_cfg(methods=["regression"]))
         assert tracer.returns["coefficients"] is not None
+        harness.run_experiment(_cfg(payoff="digital-barrier", barrier=110.0, methods=["regression"]))
+        assert tracer.counts["brownian_max.simpson_calls"] == 0
     finally:
         tracer.uninstall()
 

@@ -64,7 +64,7 @@ def test_terminal_price_martingale():
     # discounted terminal price is a martingale: E(e^{-rT} S_n) = S0
     p = _params(n=8)
     shift = rng.shift_vector(21, 0, 8)
-    X = rng.normal_block(2**16, shift)
+    X = rng.shifted_normals(rng.sobol_block(2**16, 8), shift)
     S = po.gbm_path(p, ForwardConstruction(8, 1.0).apply(X))
     disc = math.exp(-p.r * p.T) * S[:, -1]
     se = disc.std(ddof=1) / 2**8

@@ -263,7 +263,7 @@ def test_normal_vector_zero_at_half():
 
 def test_normal_block_statistics():
     shift = rng.shift_vector(11, 0, 4)
-    z = rng.normal_block(2**14, shift)
+    z = rng.shifted_normals(rng.sobol_block(2**14, 4), shift)
     x = z[:, 0]
     assert abs(x.mean()) <= 3.0 * x.std() / 2**7
     assert abs(x.var() - 1.0) < 0.1
@@ -271,6 +271,6 @@ def test_normal_block_statistics():
 
 def test_normal_vector_matches_block():
     shift = rng.shift_vector(2, 5, 3)
-    block = rng.normal_block(8, shift, start=4)
+    block = rng.shifted_normals(rng.sobol_block(8, 3, start=4), shift)
     for i in range(8):
-        np.testing.assert_array_equal(rng.normal_vector(4 + i, shift, 3), block[i])
+        np.testing.assert_array_equal(rng.shifted_normals(rng.sobol_point(4 + i, 3), shift), block[i])
