@@ -19,20 +19,17 @@ from .harness import (
 )
 from .lt import LtResult, lt_transform, payoff_gradient_at_zero
 from .payoffs import (
-    AsianCall,
-    AsianUpIn,
-    BasketAsianCall,
-    DigitalUpIn,
-    GbmParams,
+    average_call,
+    barrier_average_call,
+    barrier_hit,
     basket_paths,
-    gbm_path,
+    log_drift,
     payoff,
 )
 from .regression import (
     LogExpPayoffSpec,
     RegressionVector,
     VarianceReport,
-    asian_coefficients,
     asian_spec,
     basket_spec,
     logexp_coefficients,

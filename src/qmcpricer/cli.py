@@ -193,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedCombinationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         print(f"numerical failure: overflow {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

@@ -35,19 +35,15 @@ from . import rng
 from .brownian_max import barrier_coefficients
 from .lt import lt_transform
 from .payoffs import (
-    AsianCall,
-    AsianUpIn,
-    BasketAsianCall,
-    DigitalUpIn,
-    GbmParams,
+    average_call,
+    barrier_average_call,
+    barrier_hit,
     basket_paths,
-    gbm_path,
+    log_drift,
     payoff,
 )
 from .regression import (
     RegressionVector,
-    asian_coefficients,
-    asian_spec,
     basket_spec,
     logexp_coefficients,
     regression_chain,
@@ -244,9 +240,14 @@ class _Problem:
     """Everything needed to price one payoff under every method."""
 
     dim: int
-    R: np.ndarray | None  # asset covariance of a basket, None for one asset
     evaluate: Callable  # (construction, X) -> payoff vector
     constructions: dict = field(default_factory=dict)
+
+
+def _single_cov(cfg: ExperimentConfig) -> BasketCovSpec:
+    return BasketCovSpec(
+        m=1, n=cfg.n, T=cfg.maturity, vols=np.array([cfg.sigma]), corr=np.ones((1, 1))
+    )
 
 
 def _basket_cov(cfg: ExperimentConfig) -> BasketCovSpec:
@@ -256,73 +257,36 @@ def _basket_cov(cfg: ExperimentConfig) -> BasketCovSpec:
     return BasketCovSpec(m=cfg.assets, n=cfg.n, T=cfg.maturity, vols=vols, corr=corr)
 
 
-def _one_asset(spec_of: Callable) -> Callable:
-    """Problem set-up, (dim, R, evaluate), for a payoff on one GBM asset."""
-
-    def setup(cfg: ExperimentConfig):
-        spec = spec_of(cfg)
-        params = GbmParams(S0=cfg.s0, r=cfg.rate, sigma=cfg.sigma, T=cfg.maturity, n=cfg.n)
-
-        def evaluate(construction, X):
-            return payoff(spec, params, gbm_path(params, construction.apply(X)))
-
-        return cfg.n, None, evaluate
-
-    return setup
-
-
-def _basket_setup(cfg: ExperimentConfig):
-    cov = _basket_cov(cfg)
-    spec = BasketAsianCall(K=cfg.strike, cov=cov, S0=np.full(cfg.assets, cfg.s0))
-    params = GbmParams(S0=cfg.s0, r=cfg.rate, sigma=cov.vols.mean(), T=cfg.maturity, n=cfg.n)
-
-    def evaluate(construction, X):
-        return payoff(spec, params, basket_paths(spec, cfg.rate, construction.apply(X)))
-
-    return cov.dim, cov.R(), evaluate
-
-
 # Coefficient providers and log-exp specs call the library through this
 # module's namespace, where the benchmark's trace hooks find them.
-def _asian_a(cfg: ExperimentConfig) -> np.ndarray:
-    return asian_coefficients(cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n).a
+def _average_spec(cfg: ExperimentConfig):
+    """Log-exp spec of the average price over the payoff's assets and steps."""
+    cov = _PAYOFF_TABLE[cfg.payoff].market(cfg)
+    return basket_spec(cov, np.full(cov.m, cfg.s0), cfg.rate)
+
+
+def _average_a(cfg: ExperimentConfig) -> np.ndarray:
+    return logexp_coefficients(_average_spec(cfg)).a
 
 
 def _barrier_a(cfg: ExperimentConfig) -> np.ndarray:
     return barrier_coefficients(cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n, cfg.barrier).a
 
 
-def _basket_a(cfg: ExperimentConfig) -> np.ndarray:
-    return logexp_coefficients(_basket_logexp(cfg)).a
-
-
-def _asian_logexp(cfg: ExperimentConfig):
-    return asian_spec(cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n)
-
-
-def _basket_logexp(cfg: ExperimentConfig):
-    return basket_spec(_basket_cov(cfg), np.full(cfg.assets, cfg.s0), cfg.rate)
-
-
 @dataclass(frozen=True)
 class _PayoffRow:
-    setup: Callable  # cfg -> (dim, R, evaluate) of a _Problem
+    market: Callable  # cfg -> BasketCovSpec; a single asset is the one-asset basket
+    reduction: Callable  # (S, strike, barrier) -> undiscounted payoff of (..., m, n) prices
     providers: tuple  # cfg -> coefficient vector of each smooth part, in chain order
     lt_spec: Callable | None  # cfg -> log-exp spec for LT; None refuses the method
 
 
 _PAYOFF_TABLE = {
-    "asian": _PayoffRow(
-        _one_asset(lambda cfg: AsianCall(K=cfg.strike)), (_asian_a,), _asian_logexp
-    ),
-    "basket": _PayoffRow(_basket_setup, (_basket_a,), _basket_logexp),
-    "digital-barrier": _PayoffRow(
-        _one_asset(lambda cfg: DigitalUpIn(barrier=cfg.barrier)), (_barrier_a,), None
-    ),
+    "asian": _PayoffRow(_single_cov, average_call, (_average_a,), _average_spec),
+    "basket": _PayoffRow(_basket_cov, average_call, (_average_a,), _average_spec),
+    "digital-barrier": _PayoffRow(_single_cov, barrier_hit, (_barrier_a,), None),
     "asian-barrier": _PayoffRow(
-        _one_asset(lambda cfg: AsianUpIn(barrier=cfg.barrier, K=cfg.strike)),
-        (_barrier_a, _asian_a),
-        None,
+        _single_cov, barrier_average_call, (_barrier_a, _average_a), None
     ),
 }
 
@@ -337,7 +301,7 @@ def _lt(cfg: ExperimentConfig, row: _PayoffRow, dim: int):
     return lt_transform(row.lt_spec(cfg), min(cfg.lt_columns, dim)).chain
 
 
-# method -> (time factor, asset factor K1 with K1 K1^T = R for baskets,
+# method -> (time factor, asset factor K1 with K1 K1^T = R,
 # builder (cfg, payoff row, dim) -> the TransformChain in front, or None).
 # A chain is fused into the construction (``ChainConstruction``).
 _METHOD_TABLE = {
@@ -370,14 +334,26 @@ def regression_vector_for(cfg: ExperimentConfig) -> RegressionVector:
 
 
 def _build_problem(cfg: ExperimentConfig) -> _Problem:
-    """Each method's construction: chain, then asset factor, then time factor."""
+    """Each method's construction: chain, then asset factor, then time factor.
+
+    The drift comes first, so an overflowing volatility raises
+    FloatingPointError before anything else is built from it.
+    """
     row = _PAYOFF_TABLE[cfg.payoff]
-    problem = _Problem(*row.setup(cfg))
+    cov = row.market(cfg)
+    drift = log_drift(cov, cfg.rate)
+    S0 = np.full(cov.m, cfg.s0)
+    disc = math.exp(-cfg.rate * cfg.maturity)
+
+    def evaluate(construction, X):
+        S = basket_paths(S0, drift, construction.apply(X))
+        return payoff(row.reduction, disc, S, cfg.strike, cfg.barrier)
+
+    problem = _Problem(cov.dim, evaluate)
+    R = cov.R()
     for m in cfg.methods:
         time_factor, asset_factor, chain = _METHOD_TABLE[m]
-        construction = time_factor(cfg.n, cfg.maturity)
-        if problem.R is not None:
-            construction = KroneckerConstruction(asset_factor(problem.R), construction)
+        construction = KroneckerConstruction(asset_factor(R), time_factor(cfg.n, cfg.maturity))
         if chain is not None:
             construction = ChainConstruction(chain(cfg, row, problem.dim), construction)
         problem.constructions[m] = construction

@@ -1,121 +1,61 @@
-"""Discrete Black-Scholes asset paths and the benchmark payoff functionals.
+"""Discrete Black-Scholes asset paths and the benchmark payoff reductions.
 
-All payoffs return the discounted value e^{-rT} (...); barrier monitoring
-is discrete, over the n path steps only, with no continuity correction.
+Every market is a basket of m assets on n time steps; a single asset is the
+one-asset basket.  All payoffs return the discounted value e^{-rT} (...);
+barrier monitoring is discrete, over the n path steps only, with no
+continuity correction.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .transforms import BasketCovSpec
 
 
-@dataclass
-class GbmParams:
-    S0: float
-    r: float
-    sigma: float
-    T: float
-    n: int
+def log_drift(cov: BasketCovSpec, r: float) -> np.ndarray:
+    """(m, n) drifts (r - sigma_i^2/2) k T/n of log(S^(i)_k / S0_i).
 
-    def __post_init__(self):
-        if self.S0 <= 0.0 or self.sigma < 0.0 or self.T <= 0.0 or self.n < 1:
-            raise ValueError("invalid GBM parameters")
-
-
-def gbm_path(params: GbmParams, brownian: np.ndarray) -> np.ndarray:
-    """S_k = S0 exp((r - sigma^2/2) k T/n + sigma B_{kT/n}), k = 1..n.
-
-    Computed in one new buffer; ``brownian`` is not modified.
+    Raises FloatingPointError when sigma_i^2 or the product overflows.
     """
-    brownian = np.asarray(brownian, dtype=np.float64)
-    if brownian.shape[-1] != params.n:
-        raise ValueError("path length mismatch")
-    k = np.arange(1, params.n + 1)
-    drift = (params.r - 0.5 * params.sigma**2) * (params.T / params.n) * k
-    out = np.multiply(brownian, params.sigma)
-    out += drift
-    np.exp(out, out=out)
-    out *= params.S0
-    return out
-
-
-@dataclass
-class AsianCall:
-    """Discounted arithmetic-average call max(mean(S) - K, 0)."""
-
-    K: float
-
-
-@dataclass
-class DigitalUpIn:
-    """Pays e^{-rT} if the discrete path maximum reaches the barrier."""
-
-    barrier: float
-
-
-@dataclass
-class AsianUpIn:
-    """Arithmetic-average call paid only if the barrier is reached."""
-
-    barrier: float
-    K: float
-
-
-@dataclass
-class BasketAsianCall:
-    """Discounted call on the grand average over assets and time steps."""
-
-    K: float
-    cov: BasketCovSpec
-    S0: np.ndarray
-
-    def __post_init__(self):
-        self.S0 = np.asarray(self.S0, dtype=np.float64)
-        if self.S0.shape != (self.cov.m,):
-            raise ValueError("S0 must have one entry per asset")
-
-
-def basket_paths(spec: BasketAsianCall, r: float, scaled_brownian: np.ndarray) -> np.ndarray:
-    """Asset paths from vol-scaled Brownian values sigma_i B^(i).
-
-    ``scaled_brownian`` has shape (..., m*n), asset-major, as produced by
-    the basket constructions; the volatility is already inside.  The
-    (..., m, n) prices are computed in one new buffer; the input is not
-    modified.
-    """
-    cov = spec.cov
-    x = np.asarray(scaled_brownian, dtype=np.float64)
-    Y = x.reshape(x.shape[:-1] + (cov.m, cov.n))
     dt = cov.T / cov.n
     k = np.arange(1, cov.n + 1)
-    drift = (r - 0.5 * cov.vols[:, None] ** 2) * dt * k[None, :]
-    out = np.add(Y, drift)
-    np.exp(out, out=out)
-    out *= spec.S0[:, None]
-    return out
+    with np.errstate(over="raise"):
+        return (r - 0.5 * cov.vols[:, None] ** 2) * dt * k
 
 
-def payoff(spec, params: GbmParams, paths: np.ndarray) -> np.ndarray:
-    """Discounted payoff per path; ``paths`` are asset prices, not Brownians.
+def basket_paths(S0: np.ndarray, drift: np.ndarray, scaled_brownian: np.ndarray) -> np.ndarray:
+    """Asset prices S^(i)_k = S0_i exp(drift_ik + sigma_i B^(i)_k), in place.
 
-    Single-asset specs take (..., n) price paths; the basket spec takes
-    (..., m, n) per-asset prices.
+    ``scaled_brownian`` is a float64 array of shape (..., m*n), asset-major,
+    as the constructions produce it, with the volatility already inside.  It
+    is overwritten with the prices, and the (..., m, n) view of it is
+    returned.
     """
-    disc = math.exp(-params.r * params.T)
-    S = np.asarray(paths, dtype=np.float64)
-    if isinstance(spec, AsianCall):
-        return disc * np.maximum(S.mean(axis=-1) - spec.K, 0.0)
-    if isinstance(spec, DigitalUpIn):
-        return disc * (S.max(axis=-1) >= spec.barrier).astype(np.float64)
-    if isinstance(spec, AsianUpIn):
-        hit = (S.max(axis=-1) >= spec.barrier).astype(np.float64)
-        return disc * hit * np.maximum(S.mean(axis=-1) - spec.K, 0.0)
-    if isinstance(spec, BasketAsianCall):
-        avg = S.mean(axis=(-2, -1))
-        return disc * np.maximum(avg - spec.K, 0.0)
-    raise ValueError(f"unknown payoff spec {type(spec).__name__}")
+    Y = scaled_brownian.reshape(scaled_brownian.shape[:-1] + drift.shape)
+    Y += drift
+    np.exp(Y, out=Y)
+    Y *= S0[:, None]
+    return Y
+
+
+# Undiscounted reductions of (..., m, n) prices to one value per path.  Each
+# takes the strike and the barrier level and uses what it needs.
+def average_call(S: np.ndarray, strike: float, barrier: float | None) -> np.ndarray:
+    """max(A - K, 0), A the average over assets and time steps."""
+    return np.maximum(S.mean(axis=(-2, -1)) - strike, 0.0)
+
+
+def barrier_hit(S: np.ndarray, strike: float, barrier: float) -> np.ndarray:
+    """1 where some price reaches the barrier at a monitoring step, else 0."""
+    return (S.max(axis=(-2, -1)) >= barrier).astype(np.float64)
+
+
+def barrier_average_call(S: np.ndarray, strike: float, barrier: float) -> np.ndarray:
+    """The average call, paid only where the barrier is reached."""
+    return barrier_hit(S, strike, barrier) * average_call(S, strike, barrier)
+
+
+def payoff(reduction, disc: float, S: np.ndarray, strike: float, barrier: float | None):
+    """Discounted payoff per path, disc * reduction(S, strike, barrier)."""
+    return disc * reduction(S, strike, barrier)

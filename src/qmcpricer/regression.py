@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .payoffs import log_drift
 from .transforms import BasketCovSpec, TransformChain, _reflections, cholesky_psd
 
 
@@ -88,15 +89,16 @@ def basket_spec(cov: BasketCovSpec, S0: np.ndarray, r: float) -> LogExpPayoffSpe
     S0 = np.asarray(S0, dtype=np.float64)
     if S0.shape != (cov.m,):
         raise ValueError("S0 must have one entry per asset")
-    dt = cov.T / cov.n
-    k = np.arange(1, cov.n + 1)
-    d = (r - 0.5 * cov.vols[:, None] ** 2) * dt * k
+    d = log_drift(cov, r)
     w = np.repeat(S0[:, None] / (cov.n * cov.m), cov.n, axis=1)
-    return LogExpPayoffSpec(w=w, d=d, L=cholesky_psd(cov.R()), dt=dt)
+    return LogExpPayoffSpec(w=w, d=d, L=cholesky_psd(cov.R()), dt=cov.T / cov.n)
 
 
 def asian_spec(S0: float, r: float, sigma: float, T: float, n: int) -> LogExpPayoffSpec:
-    """Arithmetic-average spec, the one-asset basket: h(X) = (1/n) sum_k S_k(X)."""
+    """Arithmetic-average spec, the one-asset basket: h(X) = (1/n) sum_k S_k(X).
+
+    Its regression vector is a_i = (S0/n) sigma sqrt(T/n) sum_{k>=i} e^{r k T/n}.
+    """
     cov = BasketCovSpec(m=1, n=n, T=T, vols=np.array([sigma]), corr=np.ones((1, 1)))
     return basket_spec(cov, np.array([S0]), r)
 
@@ -117,11 +119,6 @@ class RegressionVector:
 def logexp_coefficients(spec: LogExpPayoffSpec) -> RegressionVector:
     """Closed-form regression vector a = c^T w_bar."""
     return RegressionVector.from_coefficients(spec._ct(spec.w_bar()))
-
-
-def asian_coefficients(S0: float, r: float, sigma: float, T: float, n: int) -> RegressionVector:
-    """Arithmetic-average coefficients a_i = (S0/n) sigma sqrt(T/n) sum_{k>=i} e^{r k T/n}."""
-    return logexp_coefficients(asian_spec(S0, r, sigma, T, n))
 
 
 @dataclass

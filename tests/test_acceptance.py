@@ -17,7 +17,7 @@ from qmcpricer import cli, harness
 from qmcpricer import regression as reg
 from qmcpricer import rng
 from qmcpricer import transforms as tr
-from qmcpricer.payoffs import GbmParams, gbm_path
+from qmcpricer.payoffs import basket_paths, log_drift
 from qmcpricer.transforms import ForwardConstruction
 
 TABLE1 = {
@@ -211,8 +211,10 @@ def test_criterion_4_barrier_coefficients_oracle():
     n_paths = 10**6
     gen = np.random.default_rng(303)
     Z = gen.standard_normal((n_paths, n))
-    S = gbm_path(GbmParams(S0=S0, r=r, sigma=sigma, T=T, n=n), ForwardConstruction(n, T).apply(Z))
-    h = (S.max(axis=1) >= barrier).astype(np.float64)
+    cov = tr.BasketCovSpec(m=1, n=n, T=T, vols=np.array([sigma]), corr=np.ones((1, 1)))
+    one_asset = tr.KroneckerConstruction(tr.cholesky_psd(cov.R()), ForwardConstruction(n, T))
+    S = basket_paths(np.array([S0]), log_drift(cov, r), one_asset.apply(Z))
+    h = (S.max(axis=(1, 2)) >= barrier).astype(np.float64)
     prod = h[:, None] * Z
     oracle = prod.mean(axis=0)
     se = prod.std(axis=0) / math.sqrt(n_paths)

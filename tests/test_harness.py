@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qmcpricer import cli, harness, rng
-from qmcpricer.regression import asian_coefficients
+from qmcpricer.regression import asian_spec, logexp_coefficients
 
 
 def _cfg(**kw):
@@ -64,6 +64,13 @@ def test_config_validation():
         _cfg(workers=0)
     with pytest.raises(ValueError, match="asset"):
         _cfg(payoff="basket", assets=0)
+    for name, bad in (("s0", 0.0), ("s0", -1.0), ("maturity", 0.0), ("maturity", -1.0)):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            _cfg(**{name: bad})
+    with pytest.raises(ValueError, match="sigma must be nonnegative"):
+        _cfg(sigma=-0.1)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        _cfg(n=0)
     # the path dimension, n or n x assets, must fit the Sobol table
     top = rng.max_dimension()
     for kw in (dict(n=top + 1), dict(payoff="basket", assets=11, n=250)):
@@ -87,6 +94,33 @@ def test_zero_sigma_deterministic():
     for row in raw:
         assert abs(row.estimate - want) < 1e-12
     assert stats[0].stddev == 0.0
+
+
+def test_one_asset_basket_prices_as_the_single_asset():
+    # a single asset is the one-asset basket: the same paths, reduction and
+    # chains, so every method's estimates agree to the bit.  At this config,
+    # scaling by sigma after rather than before the fused chain update moves
+    # regression's and lt's last bits.
+    s = 0.23
+    single = _cfg(
+        payoff="asian", methods=list(harness.METHODS), n=16, paths=[64, 128], batches=4,
+        seed=3, sigma=s,
+    )
+    basket = replace(single, payoff="basket", assets=1, sigma_min=s, sigma_max=s)
+    stats = [harness.run_experiment(cfg)[1] for cfg in (single, basket)]
+    assert [(st.method, st.mean, st.stddev) for st in stats[0]] == [
+        (st.method, st.mean, st.stddev) for st in stats[1]
+    ]
+    # basket_paths overwrites the construction's output, never the normals
+    X = rng.shifted_normals(rng.sobol_block(128, 16), rng.shift_vector(3, 0, 16))
+    before = X.copy()
+    for cfg in (single, basket):
+        problem = harness._build_problem(cfg)
+        for construction in problem.constructions.values():
+            first = problem.evaluate(construction, X)
+            second = problem.evaluate(construction, X)
+            np.testing.assert_array_equal(X, before)
+            np.testing.assert_array_equal(first, second)
 
 
 def test_unsupported_lt_barrier():
@@ -503,7 +537,7 @@ def test_cli_bad_basket_inputs_exit_2():
 
 
 def test_cli_coeffs_refuses_what_price_refuses():
-    # coeffs reaches no GbmParams, so the config itself must refuse these
+    # coeffs prices no path, so the config itself must refuse these
     for argv in (
         ["--n", "0"],
         ["--payoff", "digital-barrier", "--barrier", "110", "--n", "4", "--maturity", "0"],
@@ -572,7 +606,7 @@ def test_cli_coeffs_asian_barrier_prints_the_reflected_vector(capsys):
     rc = cli.main(["coeffs", "--payoff", "asian-barrier", "--barrier", "90", "--n", "4"])
     assert rc == 0
     out = capsys.readouterr().out.splitlines()
-    a = asian_coefficients(100.0, 0.04, 0.2, 1.0, 4).a
+    a = logexp_coefficients(asian_spec(100.0, 0.04, 0.2, 1.0, 4)).a
     assert out[0].endswith(f"norm={float(np.linalg.norm(a))!r}")
     assert [float(row.split()[1]) for row in out[1:]] == [float(v) for v in a]
     cfg = harness.ExperimentConfig(
@@ -589,11 +623,14 @@ def test_cli_coeffs_asian_barrier_prints_the_reflected_vector(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # gbm_path's sigma**2, barrier_coefficients' sigma**2, and the
-        # batch variance's (e - mean)**2 on estimates near 1e200
+        # the drift's sigma**2 for one asset and for a basket, with nothing
+        # printed before the message, barrier_coefficients' sigma**2, and
+        # the batch variance's (e - mean)**2 on estimates near 1e200
         ["price", "--n", "4", "--paths", "4", "--batches", "2", "--sigma", "1e155"],
         ["coeffs", "--payoff", "digital-barrier", "--barrier", "110", "--n", "4", "--sigma", "1e155"],
         ["price", "--n", "4", "--paths", "4", "--batches", "2", "--s0", "1e200", "--strike", "0"],
+        ["price", "--payoff", "basket", "--assets", "2", "--n", "4", "--paths", "64",
+         "--batches", "2", "--sigma-max", "1e155"],
     ],
 )
 def test_cli_float_overflow_exits_4(argv, capsys):
@@ -621,9 +658,11 @@ def test_benchmark_trace_hooks_resolve():
     # The pricing benchmark wraps library entry points at the names the
     # harness looks them up by; a name that disappears, or a coefficient
     # function no longer called through the harness namespace, silently
-    # drops a per-layer metric.  Two hooks name deleted code: the one-vector
-    # reflection (every regression chain goes through regression_chain) and
-    # the adaptive Simpson rule, which pricing never called.
+    # drops a per-layer metric.  Four hooks name deleted code: the one-asset
+    # path and coefficients (a single asset is the one-asset basket, priced
+    # by basket_paths and logexp_coefficients), the one-vector reflection
+    # (every regression chain goes through regression_chain) and the
+    # adaptive Simpson rule, which pricing never called.
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -632,11 +671,15 @@ def test_benchmark_trace_hooks_resolve():
     tracer.install(harness)
     try:
         assert tracer.missing == [
+            "qmcpricer.harness.gbm_path",
+            "qmcpricer.harness.asian_coefficients",
             "qmcpricer.harness.regression_transform",
             "qmcpricer.brownian_max.adaptive_simpson",
         ]
         harness.run_experiment(_cfg(methods=["regression"]))
         assert tracer.returns["coefficients"] is not None
+        names = {span[0] for span in tracer.spans}
+        assert {"payoffs.paths_s", "payoffs.reduce_s"} <= names
         harness.run_experiment(_cfg(payoff="digital-barrier", barrier=110.0, methods=["regression"]))
         assert tracer.counts["brownian_max.simpson_calls"] == 0
     finally:

@@ -67,7 +67,7 @@ def test_application_cost_bounded_by_k():
 def test_first_column_near_regression_direction():
     # both are exponentially weighted tail sums; for short maturities the
     # angle between them stays below a few degrees
-    rv = reg.asian_coefficients(100.0, 0.04, 0.2, 1.0, 250)
+    rv = reg.logexp_coefficients(reg.asian_spec(100.0, 0.04, 0.2, 1.0, 250))
     spec = reg.asian_spec(100.0, 0.04, 0.2, 1.0, 250)
     res = lt.lt_transform(spec, 1)
     cosine = float(res.columns[:, 0] @ (rv.a / rv.norm))

@@ -11,18 +11,18 @@ from qmcpricer import transforms as tr
 
 
 def test_asian_coefficients_n1():
-    rv = reg.asian_coefficients(1.0, 0.04, 0.2, 1.0, 1)
+    rv = reg.logexp_coefficients(reg.asian_spec(1.0, 0.04, 0.2, 1.0, 1))
     np.testing.assert_allclose(rv.a, [0.2 * math.exp(0.04)], atol=5e-7)
     assert abs(rv.a[0] - 0.208162) < 5e-7
 
 
 def test_asian_coefficients_n2():
-    rv = reg.asian_coefficients(1.0, 0.0, 0.2, 1.0, 2)
+    rv = reg.logexp_coefficients(reg.asian_spec(1.0, 0.0, 0.2, 1.0, 2))
     np.testing.assert_allclose(rv.a, [0.141421, 0.070711], atol=5e-7)
 
 
 def test_asian_coefficients_zero_sigma():
-    rv = reg.asian_coefficients(100.0, 0.04, 0.0, 1.0, 8)
+    rv = reg.logexp_coefficients(reg.asian_spec(100.0, 0.04, 0.0, 1.0, 8))
     np.testing.assert_array_equal(rv.a, np.zeros(8))
     assert rv.norm == 0.0
 
@@ -96,8 +96,8 @@ def test_basket_closed_forms_allocate_no_dense_matrix():
     )
     tracemalloc.start()
     try:
-        harness._basket_a(cfg)
-        reg.variance_report(harness._basket_logexp(cfg))
+        harness._average_a(cfg)
+        reg.variance_report(harness._average_spec(cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -161,7 +161,7 @@ def test_regression_transform_zero_vector():
 
 
 def test_regression_transform_maps_e1():
-    rv = reg.asian_coefficients(100.0, 0.04, 0.2, 1.0, 250)
+    rv = reg.logexp_coefficients(reg.asian_spec(100.0, 0.04, 0.2, 1.0, 250))
     chain = reg.regression_transform(rv)
     e1 = np.zeros(250)
     e1[0] = 1.0
@@ -169,7 +169,7 @@ def test_regression_transform_maps_e1():
 
 
 def test_regression_transform_direction_invariant():
-    rv = reg.asian_coefficients(1.0, 0.04, 0.2, 1.0, 10)
+    rv = reg.logexp_coefficients(reg.asian_spec(1.0, 0.04, 0.2, 1.0, 10))
     scaled = reg.RegressionVector.from_coefficients(7.0 * rv.a)
     x = np.random.default_rng(11).standard_normal(10)
     np.testing.assert_allclose(
@@ -181,7 +181,7 @@ def test_regression_transform_direction_invariant():
 
 def test_regression_transform_columns_orthogonal_to_a():
     # all columns past the first are uncorrelated directions: U^T a = |a| e1
-    rv = reg.asian_coefficients(1.0, 0.04, 0.2, 1.0, 12)
+    rv = reg.logexp_coefficients(reg.asian_spec(1.0, 0.04, 0.2, 1.0, 12))
     U = reg.regression_transform(rv).materialize(12)
     proj = U.T @ rv.a
     assert abs(proj[0] - rv.norm) < 1e-12
@@ -189,7 +189,7 @@ def test_regression_transform_columns_orthogonal_to_a():
 
 
 def test_regression_chain_single_provider():
-    rv = reg.asian_coefficients(1.0, 0.04, 0.2, 1.0, 6)
+    rv = reg.logexp_coefficients(reg.asian_spec(1.0, 0.04, 0.2, 1.0, 6))
     chain = reg.regression_chain([rv.a], 6)
     x = np.random.default_rng(12).standard_normal(6)
     np.testing.assert_allclose(chain.apply(x), reg.regression_transform(rv).apply(x), atol=1e-14)
@@ -237,7 +237,7 @@ def test_regression_chain_zero_leading_provider_matches_single():
     # the first coordinate exactly as the single-part transform does
     bc = barrier_coefficients(100.0, 0.04, 0.2, 1.0, 8, 90.0)
     assert not np.any(bc.a)
-    rv = reg.asian_coefficients(100.0, 0.04, 0.2, 1.0, 8)
+    rv = reg.logexp_coefficients(reg.asian_spec(100.0, 0.04, 0.2, 1.0, 8))
     chain = reg.regression_chain([bc.a, rv.a], 8)
     np.testing.assert_array_equal(chain.materialize(8), reg.regression_transform(rv).materialize(8))
 
@@ -284,7 +284,7 @@ def test_exact_linear_chain_all_zero():
 
 def test_pipeline_associativity():
     # reflecting then building the forward path equals the chain construction
-    rv = reg.asian_coefficients(100.0, 0.04, 0.2, 1.0, 16)
+    rv = reg.logexp_coefficients(reg.asian_spec(100.0, 0.04, 0.2, 1.0, 16))
     chain = reg.regression_transform(rv)
     construction = tr.ChainConstruction(chain, tr.ForwardConstruction(16, 1.0))
     x = np.random.default_rng(18).standard_normal(16)

@@ -305,7 +305,6 @@ def _fused_chains_and_bases():
     from qmcpricer.brownian_max import barrier_coefficients
     from qmcpricer.lt import lt_transform
     from qmcpricer.regression import (
-        asian_coefficients,
         asian_spec,
         basket_spec,
         logexp_coefficients,
@@ -313,7 +312,7 @@ def _fused_chains_and_bases():
     )
 
     n = 24
-    asian = asian_coefficients(100.0, 0.04, 0.2, 1.0, n).a
+    asian = logexp_coefficients(asian_spec(100.0, 0.04, 0.2, 1.0, n)).a
     barrier = barrier_coefficients(100.0, 0.04, 0.2, 1.0, n, 110.0).a
     offset_target = np.random.default_rng(11).standard_normal(n)
     offset_target[:2] = 0.0
