@@ -40,6 +40,18 @@ def test_gbm_path_zero_sigma_deterministic():
     np.testing.assert_allclose(S1[0], 100.0 * np.exp(0.04 * 0.25 * np.arange(1, 5)), atol=1e-12)
 
 
+def test_gbm_path_leaves_input_unchanged():
+    # the path stage's input is the normals block; the construction hands
+    # basket_paths a new array, so X itself is never overwritten
+    X = np.random.default_rng(29).standard_normal((3, 4))
+    before = X.copy()
+    S = _gbm(X)
+    np.testing.assert_array_equal(X, before)
+    B = ForwardConstruction(4, 1.0).apply(before)
+    drift = (0.04 - 0.5 * 0.2**2) * 0.25 * np.arange(1, 5)
+    np.testing.assert_array_equal(S[:, 0, :], 100.0 * np.exp(0.2 * B + drift))
+
+
 def test_gbm_path_length_check():
     with pytest.raises(ValueError, match="reshape"):
         po.basket_paths(np.array([100.0]), po.log_drift(_one_asset(), 0.04), np.zeros(3))
@@ -131,6 +143,22 @@ def test_basket_paths_zero_brownian():
     for i in range(2):
         drift = (0.04 - 0.5 * cov.vols[i] ** 2) * (1.0 / 3.0) * k
         np.testing.assert_allclose(S[i], 100.0 * np.exp(drift), atol=1e-12)
+
+
+def test_basket_paths_leave_input_unchanged():
+    # as for one asset: the normals block X survives the construction and
+    # basket_paths, which overwrites only the construction's new array
+    cov = _basket()
+    S0 = np.array([100.0, 90.0])
+    construction = KroneckerConstruction(cholesky_psd(cov.R()), ForwardConstruction(3, 1.0))
+    X = np.random.default_rng(31).standard_normal((3, 6))
+    before = X.copy()
+    S = po.basket_paths(S0, po.log_drift(cov, 0.04), construction.apply(X))
+    np.testing.assert_array_equal(X, before)
+    assert not np.shares_memory(S, X)
+    drift = (0.04 - 0.5 * cov.vols[:, None] ** 2) * (1.0 / 3.0) * np.arange(1, 4)
+    Y = construction.apply(before).reshape(3, 2, 3)
+    np.testing.assert_array_equal(S, S0[:, None] * np.exp(Y + drift))
 
 
 def test_basket_paths_write_prices_in_place():
