@@ -45,7 +45,6 @@ from .rng import (
     shift_vector,
     shifted_normals,
     sobol_block,
-    sobol_point,
 )
 from .transforms import (
     BasketCovSpec,

@@ -328,16 +328,18 @@ def regression_vector_for(cfg: ExperimentConfig) -> RegressionVector:
     That is the first smooth part's vector that the chain does not skip
     as zero; the first part's vector if every part's is zero.
     """
-    vectors = [p(cfg) for p in _PAYOFF_TABLE[cfg.payoff].providers]
-    a = next((w for w in vectors if np.any(w)), vectors[0])
-    return RegressionVector.from_coefficients(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _build_problem
+        vectors = [p(cfg) for p in _PAYOFF_TABLE[cfg.payoff].providers]
+        a = next((w for w in vectors if np.any(w)), vectors[0])
+        return RegressionVector.from_coefficients(a)
 
 
 def _build_problem(cfg: ExperimentConfig) -> _Problem:
     """Each method's construction: chain, then asset factor, then time factor.
 
     The drift comes first, so an overflowing volatility raises
-    FloatingPointError before anything else is built from it.
+    FloatingPointError before anything else is built from it.  Any other
+    overflow gives inf or NaN silently, and the CLI refuses it (exit 4).
     """
     row = _PAYOFF_TABLE[cfg.payoff]
     cov = row.market(cfg)
@@ -345,9 +347,10 @@ def _build_problem(cfg: ExperimentConfig) -> _Problem:
     S0 = np.full(cov.m, cfg.s0)
     disc = math.exp(-cfg.rate * cfg.maturity)
 
-    def evaluate(construction, X):
-        S = basket_paths(S0, drift, construction.apply(X))
-        return payoff(row.reduction, disc, S, cfg.strike, cfg.barrier)
+    def evaluate(construction, X):  # on the chunk threads: numpy's error state is per thread
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = basket_paths(S0, drift, construction.apply(X))
+            return payoff(row.reduction, disc, S, cfg.strike, cfg.barrier)
 
     problem = _Problem(cov.dim, evaluate)
     R = cov.R()
@@ -355,7 +358,8 @@ def _build_problem(cfg: ExperimentConfig) -> _Problem:
         time_factor, asset_factor, chain = _METHOD_TABLE[m]
         construction = KroneckerConstruction(asset_factor(R), time_factor(cfg.n, cfg.maturity))
         if chain is not None:
-            construction = ChainConstruction(chain(cfg, row, problem.dim), construction)
+            with np.errstate(over="ignore", invalid="ignore"):
+                construction = ChainConstruction(chain(cfg, row, problem.dim), construction)
         problem.constructions[m] = construction
     return problem
 

@@ -56,7 +56,7 @@ def lt_transform(spec: LogExpPayoffSpec, k: int = 25) -> LtResult:
         raise ValueError("k out of range")
     grad = payoff_gradient_at_zero(spec)
     vectors = itertools.chain([grad], (np.eye(1, n, j)[0] for j in range(n)))
-    chain = TransformChain(itertools.islice(_reflections(vectors), k))
+    chain = _reflections(vectors, k)
     g = np.linalg.norm(grad)
     first = 1 if g <= 1e-12 * g else 2  # the sequencer skips a zero gradient
     return LtResult(chain, n, list(range(first, k + 1)))

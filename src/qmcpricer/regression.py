@@ -167,8 +167,8 @@ def variance_report_continuum(r: float, sigma: float, T: float) -> VarianceRepor
 
 
 def regression_transform(rv: RegressionVector) -> TransformChain:
-    """Single reflection mapping e_1 to a/||a||; identity when ||a|| = 0."""
-    return TransformChain(_reflections([rv.a]))
+    """Single reflection mapping e_1 to a/||a||; the empty chain when ||a|| = 0."""
+    return regression_chain([rv.a], rv.a.size)
 
 
 def regression_chain(vectors: Sequence[np.ndarray], n: int) -> TransformChain:
@@ -186,4 +186,4 @@ def regression_chain(vectors: Sequence[np.ndarray], n: int) -> TransformChain:
     for k, a in enumerate(vectors, start=1):
         if a.shape != (n,):
             raise ValueError(f"vector {k} has shape {a.shape}, expected ({n},)")
-    return TransformChain(_reflections(vectors))
+    return _reflections(vectors)

@@ -137,13 +137,6 @@ def sobol_block(count: int, dim: int, start: int = 0) -> np.ndarray:
     return rows
 
 
-def sobol_point(index: int, dim: int) -> np.ndarray:
-    """uint32 state of the index-th Sobol point in the given dimension."""
-    if index < 0 or index >= MAX_INDEX:
-        raise ValueError("index out of range")
-    return _state_at(index, _directions(dim))
-
-
 def _states(a) -> np.ndarray:
     a = np.asarray(a)
     if a.dtype != np.uint32:

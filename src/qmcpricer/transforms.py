@@ -2,8 +2,9 @@
 
 A Householder reflection is U = I - 2 v v^T / v^T v.  Stored with an
 ``offset`` k (1-based), the defining vector is supported on coordinates
-k..n, so the reflection fixes the first k-1 coordinates and applies in
-O(n - k) operations.
+k..n, so the reflection fixes the first k-1 coordinates and its dot
+product with a vector covers only coordinates k..n.  A product of
+reflections is held in compact WY form, whose update writes all n.
 
 Path constructions map a standard-normal vector X to a discrete Brownian
 path (B_{T/n}, ..., B_T).  Every construction realizes a matrix A with
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -57,23 +58,7 @@ class HouseholderReflection:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """U x for a single vector or a (N, n) batch of row vectors."""
-        return _reflect_rows(x, [self])
-
-    def _apply_into(self, X: np.ndarray, out: np.ndarray) -> None:
-        """Write the reflected rows of an (N, n) float64 array X to ``out``,
-        which may be X itself.
-
-        Per element the result is x - (2 x.v) v, computed in row blocks.
-        """
-        lo = self.offset - 1
-        if X.shape[1] != lo + self.v.size:
-            raise ValueError("dimension mismatch")
-        if out is not X:
-            out[:, :lo] = X[:, :lo]
-        sub = X[:, lo:]
-        coef = _row_dots(sub, self.v)
-        coef *= 2.0
-        _subtract_products(out[:, lo:], sub, coef[None], self.v[None])
+        return TransformChain([self]).apply(x)
 
 
 def _row_dots(X: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -100,22 +85,6 @@ def _subtract_products(dst: np.ndarray, X: np.ndarray, P: np.ndarray, G: np.ndar
         block = scratch[: min(rows, N - i)]
         np.einsum("ki,kj->ij", P[:, i : i + rows], G, out=block)
         np.subtract(X[i : i + rows], block, out=dst[i : i + rows])
-
-
-def _reflect_rows(x: np.ndarray, reflections) -> np.ndarray:
-    """x, one vector or (N, n) rows, with the reflections applied in order,
-    in a new array; the first reflection reads x, the rest work in place."""
-    x = np.asarray(x, dtype=np.float64)
-    X = x.reshape(1, -1) if x.ndim == 1 else x
-    out = np.empty(X.shape)
-    src = X
-    for refl in reflections:
-        if not refl.is_identity:
-            refl._apply_into(src, out)
-            src = out
-    if src is X:
-        out[...] = X
-    return out.reshape(x.shape)
 
 
 def householder_from_target(a: np.ndarray, k: int = 1) -> HouseholderReflection:
@@ -149,43 +118,88 @@ def householder_from_target(a: np.ndarray, k: int = 1) -> HouseholderReflection:
 class TransformChain:
     """Ordered product U = U_1 U_2 ... U_m of Householder reflections.
 
-    ``apply`` computes U x, the rightmost factor first.
+    The product is held in compact WY form U = I - V^T W V (Schreiber & Van
+    Loan 1989): row j of V is the unit vector of the j-th reflection that
+    is not the identity, zero before its offset, and W is upper triangular.
+    Identity reflections add no row but count in ``len``.  ``apply``
+    computes U x as x - (V x)^T W^T V, with W^T V kept from the appends.
     """
 
     def __init__(self, reflections: Iterable[HouseholderReflection] = ()):
-        self.reflections = list(reflections)
+        self.reflections: list[HouseholderReflection] = []
+        self.V = np.zeros((0, 0))
+        self.W = np.zeros((0, 0))
+        self._starts: list[int] = []  # 0-based offset of each row of V
+        self._update = np.zeros((0, 0))  # W^T V
+        for refl in reflections:
+            self.append(refl)
 
     def __len__(self) -> int:
         return len(self.reflections)
 
+    def append(self, refl: HouseholderReflection) -> None:
+        """Multiply the product by ``refl`` on the right, in O(m n)."""
+        self.reflections.append(refl)
+        if refl.is_identity:
+            return
+        m, lo = len(self._starts), refl.offset - 1
+        v = np.concatenate([np.zeros(lo), refl.v])
+        V = self.V.reshape(m, v.size)
+        # (I - V^T W V)(I - 2 v v^T) = I - V'^T W' V', V' = [V; v^T] and
+        # W' = [[W, -2 W V v], [0, 2]]
+        W = np.zeros((m + 1, m + 1))
+        W[:m, :m] = self.W
+        W[:m, m] = -2.0 * (self.W @ (V @ v))
+        W[m, m] = 2.0
+        self.V, self.W = np.vstack([V, v]), W
+        row = np.einsum("k,kj->j", W[:, m], self.V)  # not a BLAS gemv, see _row_dots
+        self._update = np.vstack([self._update.reshape(m, v.size), row])
+        self._starts.append(lo)
+
+    def _dots(self, X: np.ndarray) -> np.ndarray:
+        """(m, N) dots of rows X with the rows of V, from each one's offset on."""
+        return np.array([_row_dots(X[:, lo:], v[lo:]) for lo, v in zip(self._starts, self.V)])
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return _reflect_rows(x, reversed(self.reflections))
+        """U x for a single vector or a (N, n) batch of row vectors, in a new array."""
+        x = np.asarray(x, dtype=np.float64)
+        if not self._starts:
+            return x.copy()
+        X = x.reshape(-1, x.shape[-1])
+        if X.shape[1] != self.V.shape[1]:
+            raise ValueError("dimension mismatch")
+        out = np.empty(X.shape)
+        _subtract_products(out, X, self._dots(X), self._update)
+        return out.reshape(x.shape)
 
     def materialize(self, n: int) -> np.ndarray:
         """Dense n x n matrix of the product, for validation at small n."""
         return self.apply(np.eye(n)).T
 
 
-def _reflections(vectors: Iterable[np.ndarray]) -> Iterator[HouseholderReflection]:
-    """Lazily yield reflections U_1, U_2, ... built from the given vectors.
+def _reflections(vectors: Iterable[np.ndarray], limit: int | None = None) -> TransformChain:
+    """Chain U_1 U_2 ... of at most ``limit`` reflections built from the vectors.
 
-    Each vector w is reflected through the reflections built so far (which
-    gives U^T w for their product U), its leading k-1 entries are zeroed,
-    and U_k, with k = reflections so far + 1, maps e_k to the remainder,
-    so the leading columns of the product span the vectors seen so far:
-    column k is the normalized projection of w onto the complement of the
-    earlier columns.  A vector whose remainder is at most 1e-12 ||w||
-    already lies in that span and adds no reflection.  The inputs are not
-    modified; wrap the generator in ``TransformChain`` to use the product.
+    Each vector w is mapped to U^T w = w - V^T W^T V w under the chain
+    built so far, its leading k-1 entries are zeroed, and U_k, with k =
+    reflections so far + 1, maps e_k to the remainder, so the leading
+    columns of the product span the vectors seen so far: column k is the
+    normalized projection of w onto the complement of the earlier columns.
+    A vector whose remainder is at most 1e-12 ||w|| already lies in that
+    span and adds no reflection.  The vectors are drawn lazily, not modified.
     """
-    built: list[HouseholderReflection] = []
+    chain = TransformChain()
     for w in vectors:
-        rem = _reflect_rows(w, built)
-        rem[: len(built)] = 0.0
+        if len(chain) == limit:
+            break
+        rem = np.array(w, dtype=np.float64)
+        if chain._starts:
+            rem -= chain.V.T @ (chain.W.T @ chain._dots(rem[None])[:, 0])
+        rem[: len(chain)] = 0.0
         if np.linalg.norm(rem) <= 1e-12 * np.linalg.norm(w):
             continue
-        built.append(householder_from_target(rem, k=len(built) + 1))
-        yield built[-1]
+        chain.append(householder_from_target(rem, k=len(chain) + 1))
+    return chain
 
 
 def complete_first_k_columns(columns: list[np.ndarray]) -> TransformChain:
@@ -203,7 +217,7 @@ def complete_first_k_columns(columns: list[np.ndarray]) -> TransformChain:
     G = np.array([[ci @ cj for cj in cols] for ci in cols])
     if np.abs(G - np.eye(len(cols))).max() > 1e-10:
         raise ValueError("columns not orthonormal")
-    return TransformChain(_reflections(cols))
+    return _reflections(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +354,11 @@ class PcaConstruction:
 class ChainConstruction:
     """A base construction C applied to reflected normals, C U x, in one pass.
 
-    The chain U = U_1 ... U_m is taken in compact WY form U = I - V W V^T
-    (Schreiber & Van Loan 1989), with the unit reflection vectors as the
-    columns of V and W upper triangular.  Then C U x = C x - (C V) W V^T x:
-    C V is computed once, by the base, and each row costs one base
-    application, m dot products and one rank-m update of the base's output,
-    instead of m passes over the normals before the base runs.
+    With the chain's compact WY factors U = I - V^T W V, C U x = C x -
+    (C V^T) W V x: C V^T is computed once, by the base, and each row costs
+    one base application, the chain's m row dots and one rank-m update of
+    the base's output, instead of m passes over the normals before the
+    base runs.
     """
 
     def __init__(self, chain: TransformChain, base):
@@ -353,25 +366,15 @@ class ChainConstruction:
         self.base = base
         self.n = base.n
         self.T = base.T
-        self._reflections = [r for r in chain.reflections if not r.is_identity]
-        m = len(self._reflections)
-        V = np.zeros((m, self.n))
-        for V_row, r in zip(V, self._reflections):
-            V_row[r.offset - 1 :] = r.v
-        W = np.zeros((m, m))
-        for j in range(m):
-            W[:j, j] = -2.0 * (W[:j, :j] @ (V[:j] @ V[j]))
-            W[j, j] = 2.0
-        # rows of (C V W)^T; base.apply maps rows x^T to (C x)^T
-        self._update = W.T @ base.apply(V)
+        # rows of (C V^T W)^T; base.apply maps rows x^T to (C x)^T
+        self._update = chain.W.T @ base.apply(chain.V) if chain._starts else None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         X = x.reshape(-1, self.n)
         Y = self.base.apply(X)
-        if self._reflections:
-            P = np.array([_row_dots(X[:, r.offset - 1 :], r.v) for r in self._reflections])
-            _subtract_products(Y, Y, P, self._update)
+        if self._update is not None:
+            _subtract_products(Y, Y, self.chain._dots(X), self._update)
         return Y.reshape(x.shape)
 
 

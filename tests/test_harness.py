@@ -565,6 +565,29 @@ def test_python_m_qmcpricer_runs_from_a_checkout():
     assert proc.stdout.startswith("asian forward n=4 N=64 ")
 
 
+def test_python_m_qmcpricer_overflow_stderr_is_the_message_alone():
+    # the prices overflow at rate 800; numpy's error state is per thread, so
+    # the last case, two 512-row chunks, checks the chunk threads too
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    price = [sys.executable, "-m", "qmcpricer", "price", "--rate", "800"]
+    digital = ["--payoff", "digital-barrier", "--barrier", "110"]
+    refused = "numerical failure: non-finite estimate\n"
+    cases = [
+        (["--n", "4", "--paths", "64", "--batches", "2"], 4, refused),
+        (digital, 0, ""),
+        (digital + ["--n", "1024", "--paths", "1024", "--batches", "2", "--workers", "2"], 0, ""),
+    ]
+    for flags, code, err in cases:
+        proc = subprocess.run(
+            price + flags,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (code, err), flags
+
+
 def test_cli_coeffs_extreme_barrier_is_finite(capsys):
     # e^{2 u nu} with u = log(2)/0.01 and nu ~ 50 overflows a double
     rc = cli.main(
@@ -579,17 +602,20 @@ def test_cli_coeffs_extreme_barrier_is_finite(capsys):
     assert all(math.isfinite(float(row.split()[1])) for row in rows)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_coeffs_nonfinite_exits_4_like_price(capsys):
     # exp overflows in w_bar at rate 800: price refuses the estimate, so
-    # coeffs refuses the coefficients, and prints none of them
+    # coeffs refuses the coefficients, and prints none of them; the one-line
+    # message is all that reaches stderr
     rc = cli.main(["coeffs", "--n", "4", "--rate", "800"])
     assert rc == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.strip() == "numerical failure: non-finite coefficients"
+    assert captured.err == "numerical failure: non-finite coefficients\n"
     price = ["price", "--n", "4", "--paths", "64", "--batches", "2", "--rate", "800"]
     assert cli.main(price + ["--method", "regression"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: non-finite estimate\n"
 
 
 def test_cli_coeffs_output(capsys):

@@ -9,17 +9,17 @@ from qmcpricer import rng
 
 
 def test_first_point_is_origin():
-    p = rng.sobol_point(0, 4)
+    p = rng.sobol_block(1, 4, start=0)[0]
     assert p.dtype == np.uint32
     assert np.array_equal(p, np.zeros(4))
 
 
 def test_second_point_dim1():
-    assert rng.sobol_point(1, 1)[0] * rng.CELL == 0.5
+    assert rng.sobol_block(1, 1, start=1)[0][0] * rng.CELL == 0.5
 
 
 def test_first_coordinate_van_der_corput():
-    pts = [rng.sobol_point(i, 1)[0] * rng.CELL for i in (1, 2, 3)]
+    pts = [rng.sobol_block(1, 1, start=i)[0][0] * rng.CELL for i in (1, 2, 3)]
     assert pts[0] == 0.5
     assert set(pts) == {0.5, 0.75, 0.25}
 
@@ -27,7 +27,7 @@ def test_first_coordinate_van_der_corput():
 def test_block_matches_pointwise():
     block = rng.sobol_block(16, 6, start=5)
     for i in range(16):
-        np.testing.assert_array_equal(block[i], rng.sobol_point(5 + i, 6))
+        np.testing.assert_array_equal(block[i], rng.sobol_block(1, 6, start=5 + i)[0])
 
 
 def test_block_matches_scipy():
@@ -123,7 +123,7 @@ def test_points_distinct_dim1():
 
 def test_unsupported_dimension():
     with pytest.raises(ValueError, match="unsupported dimension"):
-        rng.sobol_point(0, rng.max_dimension() + 1)
+        rng.sobol_block(1, rng.max_dimension() + 1, start=0)
     assert rng.max_dimension() >= 2500
 
 
@@ -273,4 +273,5 @@ def test_normal_vector_matches_block():
     shift = rng.shift_vector(2, 5, 3)
     block = rng.shifted_normals(rng.sobol_block(8, 3, start=4), shift)
     for i in range(8):
-        np.testing.assert_array_equal(rng.shifted_normals(rng.sobol_point(4 + i, 3), shift), block[i])
+        point = rng.sobol_block(1, 3, start=4 + i)[0]
+        np.testing.assert_array_equal(rng.shifted_normals(point, shift), block[i])

@@ -105,7 +105,7 @@ def test_apply_householder_row_blocks_match_one_update_bitwise():
         target = gen.standard_normal(n)
         target[: k - 1] = 0.0
         refl = tr.householder_from_target(target, k=k)
-        rows = tr._UPDATE_BLOCK // refl.v.size
+        rows = tr._UPDATE_BLOCK // n
         X = gen.standard_normal((2 * rows + 5, n))
         before = X.copy()
         want = X.copy()
@@ -114,10 +114,70 @@ def test_apply_householder_row_blocks_match_one_update_bitwise():
         sub -= (2.0 * np.einsum("ij,j->i", sub, refl.v))[:, None] * refl.v
         np.testing.assert_array_equal(refl.apply(X), want)
         np.testing.assert_array_equal(X, before)
-        # a chain applies its first reflection from the input, the rest in place
-        np.testing.assert_array_equal(
-            tr.TransformChain([refl, refl]).apply(X), refl.apply(refl.apply(X))
-        )
+        # two reflections go through the chain's WY update, so against the
+        # reference only to rounding
+        chain = tr.TransformChain([refl, refl])
+        want = _reflect_one_by_one(chain, X)
+        np.testing.assert_allclose(chain.apply(X), want, rtol=0, atol=1e-12)
+
+
+def _reflect_one_by_one(chain, x):
+    # reference: U x with the reflections applied to x in turn, the rightmost
+    # first, each as x - 2 (x . v) v over its coordinates offset..n
+    X = np.array(x, dtype=np.float64).reshape(-1, np.shape(x)[-1])
+    for refl in reversed(chain.reflections):
+        if not refl.is_identity:
+            sub = X[:, refl.offset - 1 :]
+            sub -= 2.0 * np.outer(sub @ refl.v, refl.v)
+    return X.reshape(np.shape(x))
+
+
+def test_chain_apply_matches_one_by_one_reference():
+    gen = np.random.default_rng(14)
+    n = 300
+    targets = np.triu(gen.standard_normal((25, n)))  # target k is zero before k
+    identity = tr.householder_from_target(np.eye(1, n, 1)[0], k=2)
+    cases = {
+        "offsets 1..25": [tr.householder_from_target(t, k=k) for k, t in enumerate(targets, 1)],
+        "offsets 3, 5, 9": [tr.householder_from_target(targets[k - 1], k=k) for k in (3, 5, 9)],
+        "with identities": [
+            tr.householder_from_target(targets[0]),
+            identity,
+            tr.householder_from_target(targets[2], k=3),
+            identity,
+        ],
+    }
+    assert identity.is_identity
+    # more rows than one update block holds, and a last block that is not full
+    X = gen.standard_normal((2 * (tr._UPDATE_BLOCK // n) + 5, n))
+    before = X.copy()
+    for label, reflections in cases.items():
+        chain = tr.TransformChain(reflections)
+        assert len(chain) == len(reflections)
+        want = _reflect_one_by_one(chain, X)
+        got = chain.apply(X)
+        np.testing.assert_array_equal(X, before)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), label
+        np.testing.assert_allclose(chain.apply(X[7]), want[7], rtol=0, atol=1e-12)
+    empty = tr.TransformChain()
+    assert len(empty) == 0
+    for x in (X[:3], X[0]):
+        got = empty.apply(x)
+        np.testing.assert_array_equal(got, x)
+        assert got is not x
+
+
+def test_identity_reflections_count_toward_the_next_offset():
+    # a canonical column makes an identity reflection, which still takes
+    # offset 1, so the next column's reflection has offset 2
+    second = np.array([0.0, 0.6, 0.0, 0.8])
+    chain = tr.complete_first_k_columns([np.eye(4)[0], second])
+    assert [r.offset for r in chain.reflections] == [1, 2]
+    assert chain.reflections[0].is_identity and not chain.reflections[1].is_identity
+    U = chain.materialize(4)
+    np.testing.assert_allclose(U[:, :2], np.stack([np.eye(4)[0], second], axis=1), atol=1e-15)
+    x = np.random.default_rng(15).standard_normal(4)
+    np.testing.assert_allclose(chain.apply(x), _reflect_one_by_one(chain, x), atol=1e-15)
 
 
 def test_chain_product_order_and_orthogonality():
@@ -341,12 +401,12 @@ def _fused_chains_and_bases():
 
 
 def test_fused_chain_construction_matches_sequential():
-    # C U x computed as C x - (C V) W V^T x against the reference: the
+    # C U x computed as C x - (C V^T) W V x against the reference: the
     # reflections applied to x one by one, then the base
     gen = np.random.default_rng(12)
     for label, chain, base in _fused_chains_and_bases():
         X = gen.standard_normal((37, base.n))
-        want = base.apply(chain.apply(X))
+        want = base.apply(_reflect_one_by_one(chain, X))
         got = tr.ChainConstruction(chain, base).apply(X)
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= 1e-12 * scale, label
@@ -369,7 +429,7 @@ def test_fused_chain_construction_row_blocks():
             tr.householder_from_target(t, k=k) for k, t in enumerate(targets, start=1)
         )
         assert not any(r.is_identity for r in chain.reflections)
-        want = base.apply(chain.apply(X))
+        want = base.apply(_reflect_one_by_one(chain, X))
         got = tr.ChainConstruction(chain, base).apply(X)
         np.testing.assert_array_equal(X, before)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), m
