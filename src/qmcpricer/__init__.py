@@ -51,7 +51,6 @@ from .transforms import (
     BrownianBridgeConstruction,
     ChainConstruction,
     ForwardConstruction,
-    HouseholderReflection,
     KroneckerConstruction,
     PcaConstruction,
     TransformChain,

@@ -203,14 +203,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.payoff == "basket" and self.assets < 1:
             raise ValueError("basket needs at least 1 asset")
-        dim = self.n * (self.assets if self.payoff == "basket" else 1)
+        # the basket takes its vols from sigma_min and sigma_max, not sigma
+        if self.payoff != "basket" and self.sigma < 0.0:
+            raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")
+        dim = _PAYOFF_TABLE[self.payoff].market(self).dim
         if dim > rng.max_dimension():
             raise ValueError(
                 f"path dimension {dim} exceeds the Sobol table's {rng.max_dimension()} dimensions"
             )
-        # the basket takes its vols from sigma_min and sigma_max, not sigma
-        if self.payoff != "basket" and self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")
 
 
 @dataclass
@@ -487,7 +487,7 @@ def timing_report(
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     N = max(cfg.paths)
-    dim = _build_problem(replace(cfg, methods=[])).dim
+    dim = _PAYOFF_TABLE[cfg.payoff].market(cfg).dim
     X = rng.shifted_normals(_sobol_block(N, dim), rng.shift_vector(cfg.seed, 0, dim))
     report = []
     with _chunk_pool(cfg.workers) as pool:
@@ -520,19 +520,20 @@ def reflection_apply_times(
 ) -> dict[int, float]:
     """Median wall time (ms) of one Householder application per size.
 
-    Used to check the O(n) application cost: doubling n should roughly
-    double the time.
+    Each size's one-reflection chain is built once, and only its ``apply``
+    to ``paths`` rows is timed.  Used to check the O(n) application cost:
+    doubling n should roughly double the time.
     """
     gen = np.random.default_rng(seed)
     out = {}
     for n in sizes:
         a = np.abs(gen.standard_normal(n)) + 0.1
-        refl = householder_from_target(a, k=1)
+        chain = householder_from_target(a, k=1)
         X = gen.standard_normal((paths, n))
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            refl.apply(X)
+            chain.apply(X)
             times.append((time.perf_counter() - t0) * 1000.0)
         out[n] = float(np.median(times))
     return out

@@ -21,19 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regression import LogExpPayoffSpec
-from .transforms import TransformChain, _reflections
+from .transforms import TransformChain, _norm, _reflections
 
 
 @dataclass
 class LtResult:
     chain: TransformChain
-    n: int  # dimension of the normal vector
     degenerate_columns: list[int]  # 1-based indices
 
     @property
     def columns(self) -> np.ndarray:
         """(n, k) optimized columns, the first k columns of the chain's product."""
-        return self.chain.apply(np.eye(len(self.chain), self.n)).T
+        return self.chain.apply(np.eye(len(self.chain), self.chain.n)).T
 
 
 def payoff_gradient_at_zero(spec: LogExpPayoffSpec) -> np.ndarray:
@@ -56,7 +55,7 @@ def lt_transform(spec: LogExpPayoffSpec, k: int = 25) -> LtResult:
         raise ValueError("k out of range")
     grad = payoff_gradient_at_zero(spec)
     vectors = itertools.chain([grad], (np.eye(1, n, j)[0] for j in range(n)))
-    chain = _reflections(vectors, k)
-    g = np.linalg.norm(grad)
+    chain = _reflections(vectors, n, k)
+    g = _norm(grad)
     first = 1 if g <= 1e-12 * g else 2  # the sequencer skips a zero gradient
-    return LtResult(chain, n, list(range(first, k + 1)))
+    return LtResult(chain, list(range(first, k + 1)))

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .payoffs import log_drift
-from .transforms import BasketCovSpec, TransformChain, _reflections, cholesky_psd
+from .transforms import BasketCovSpec, TransformChain, _norm, _reflections, cholesky_psd
 
 
 def _suffix_sums(v: np.ndarray) -> np.ndarray:
@@ -113,7 +113,7 @@ class RegressionVector:
     @classmethod
     def from_coefficients(cls, a: np.ndarray) -> "RegressionVector":
         a = np.asarray(a, dtype=np.float64)
-        return cls(a=a, norm=float(np.linalg.norm(a)))
+        return cls(a=a, norm=_norm(a))
 
 
 def logexp_coefficients(spec: LogExpPayoffSpec) -> RegressionVector:
@@ -186,4 +186,4 @@ def regression_chain(vectors: Sequence[np.ndarray], n: int) -> TransformChain:
     for k, a in enumerate(vectors, start=1):
         if a.shape != (n,):
             raise ValueError(f"vector {k} has shape {a.shape}, expected ({n},)")
-    return _reflections(vectors)
+    return _reflections(vectors, n)

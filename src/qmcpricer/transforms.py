@@ -1,10 +1,11 @@
 """Householder reflections and discrete Brownian path constructions.
 
-A Householder reflection is U = I - 2 v v^T / v^T v.  Stored with an
-``offset`` k (1-based), the defining vector is supported on coordinates
-k..n, so the reflection fixes the first k-1 coordinates and its dot
-product with a vector covers only coordinates k..n.  A product of
-reflections is held in compact WY form, whose update writes all n.
+A Householder reflection is U = I - 2 v v^T with a unit vector v.  The
+reflection appended at offset k (1-based) has v supported on coordinates
+k..n, so it fixes the first k-1 coordinates and its dot product with a
+vector covers only coordinates k..n.  Every product of reflections, a
+single one included, is a ``TransformChain`` held in compact WY form,
+whose update writes all n.
 
 Path constructions map a standard-normal vector X to a discrete Brownian
 path (B_{T/n}, ..., B_T).  Every construction realizes a matrix A with
@@ -33,34 +34,6 @@ _UPDATE_BLOCK = 2**18
 _BRIDGE_BLOCK = 2**17
 
 
-class HouseholderReflection:
-    """Reflection I - 2 v v^T / (v^T v) supported on coordinates offset..n.
-
-    ``v`` holds only the supported components; ``offset`` is the 1-based
-    index of the first supported coordinate.  A zero (or empty) ``v`` is
-    the identity.
-    """
-
-    __slots__ = ("v", "offset")
-
-    def __init__(self, v: np.ndarray, offset: int = 1):
-        if offset < 1:
-            raise ValueError("offset must be >= 1")
-        v = np.asarray(v, dtype=np.float64)
-        nv = float(v @ v)
-        # normalize once so application needs no division
-        self.v = v / math.sqrt(nv) if nv > 0.0 else np.zeros(0)
-        self.offset = offset
-
-    @property
-    def is_identity(self) -> bool:
-        return self.v.size == 0
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """U x for a single vector or a (N, n) batch of row vectors."""
-        return TransformChain([self]).apply(x)
-
-
 def _row_dots(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     """X v for (N, n) rows, as numpy's own reduction.
 
@@ -87,74 +60,87 @@ def _subtract_products(dst: np.ndarray, X: np.ndarray, P: np.ndarray, G: np.ndar
         np.subtract(X[i : i + rows], block, out=dst[i : i + rows])
 
 
-def householder_from_target(a: np.ndarray, k: int = 1) -> HouseholderReflection:
-    """Reflection mapping e_k to a/||a||, supported on coordinates k..n.
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a vector, finite for every finite x.
 
-    Entries of ``a`` before index k must be zero.  ``||a|| = 0`` yields the
-    identity.  The first component of the defining vector is computed in
-    the cancellation-free form -(sum of squared tail)/(1 + a_k) whenever
-    a_k > 0, which keeps the construction stable while preserving the
-    mapping e_k -> a/||a|| exactly.
+    sqrt(x . x) as ``np.linalg.norm`` takes it, except where x . x
+    overflows though every entry is finite: then x is scaled by max |x_i|
+    first.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if k < 1 or k > a.size:
-        raise ValueError("k out of range")
-    if np.any(a[: k - 1] != 0.0):
-        raise ValueError("target not in subspace: entries before index k must be zero")
-    sub = a[k - 1 :]
-    norm = float(np.linalg.norm(sub))
-    if norm == 0.0:
-        return HouseholderReflection(np.zeros(0), offset=k)
-    ahat = sub / norm
-    v = ahat.copy()
-    tail2 = float(ahat[1:] @ ahat[1:])
-    if ahat[0] > 0.0:
-        v[0] = -tail2 / (1.0 + ahat[0])
-    else:
-        v[0] = ahat[0] - 1.0
-    return HouseholderReflection(v, offset=k)
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        sq = x.dot(x)
+    if not np.isfinite(sq) and np.all(np.isfinite(x)):
+        s = np.abs(x).max()
+        return float(s * math.sqrt((x / s).dot(x / s)))
+    return float(np.sqrt(sq))
 
 
 class TransformChain:
-    """Ordered product U = U_1 U_2 ... U_m of Householder reflections.
+    """Ordered product U = U_1 U_2 ... U_m of Householder reflections on R^n.
 
     The product is held in compact WY form U = I - V^T W V (Schreiber & Van
     Loan 1989): row j of V is the unit vector of the j-th reflection that
     is not the identity, zero before its offset, and W is upper triangular.
     Identity reflections add no row but count in ``len``.  ``apply``
     computes U x as x - (V x)^T W^T V, with W^T V kept from the appends.
+    A single reflection is the one-reflection chain.
     """
 
-    def __init__(self, reflections: Iterable[HouseholderReflection] = ()):
-        self.reflections: list[HouseholderReflection] = []
-        self.V = np.zeros((0, 0))
+    def __init__(self, n: int):
+        self.n = n
+        self.V = np.zeros((0, n))
         self.W = np.zeros((0, 0))
         self._starts: list[int] = []  # 0-based offset of each row of V
-        self._update = np.zeros((0, 0))  # W^T V
-        for refl in reflections:
-            self.append(refl)
+        self._update = np.zeros((0, n))  # W^T V
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self.reflections)
+        return self._count
 
-    def append(self, refl: HouseholderReflection) -> None:
-        """Multiply the product by ``refl`` on the right, in O(m n)."""
-        self.reflections.append(refl)
-        if refl.is_identity:
+    def append(self, a: np.ndarray, k: int) -> None:
+        """Multiply the product on the right by the reflection mapping e_k to
+        a/||a||, in O(m n).
+
+        The reflection is I - 2 v v^T, its unit vector v supported on
+        coordinates k..n.  Entries of ``a`` before index k must be zero.  A
+        zero target, or one along e_k, appends the identity.  The first
+        component of v is computed in the cancellation-free form -(sum of
+        squared tail)/(1 + a_k) whenever a_k > 0, which keeps the
+        construction stable while preserving the mapping e_k -> a/||a||
+        exactly.
+        """
+        a = np.asarray(a, dtype=np.float64)
+        if a.shape != (self.n,):
+            raise ValueError(f"target has shape {a.shape}, expected ({self.n},)")
+        if k < 1 or k > self.n:
+            raise ValueError("k out of range")
+        if np.any(a[: k - 1] != 0.0):
+            raise ValueError("target not in subspace: entries before index k must be zero")
+        self._count += 1
+        sub = a[k - 1 :]
+        norm = _norm(sub)
+        if norm == 0.0:
             return
-        m, lo = len(self._starts), refl.offset - 1
-        v = np.concatenate([np.zeros(lo), refl.v])
-        V = self.V.reshape(m, v.size)
+        v = sub / norm  # a/||a|| over k..n, until its first entry is replaced
+        a_k, tail2 = v[0], float(v[1:] @ v[1:])
+        v[0] = -tail2 / (1.0 + a_k) if a_k > 0.0 else a_k - 1.0
+        nv = float(v @ v)
+        if not nv > 0.0:  # a along e_k makes v zero
+            return
+        # normalized over k..n, then padded: padding first changes the rounding
+        v = np.concatenate([np.zeros(k - 1), v / math.sqrt(nv)])
+        m = len(self._starts)
         # (I - V^T W V)(I - 2 v v^T) = I - V'^T W' V', V' = [V; v^T] and
         # W' = [[W, -2 W V v], [0, 2]]
         W = np.zeros((m + 1, m + 1))
         W[:m, :m] = self.W
-        W[:m, m] = -2.0 * (self.W @ (V @ v))
+        W[:m, m] = -2.0 * (self.W @ (self.V @ v))
         W[m, m] = 2.0
-        self.V, self.W = np.vstack([V, v]), W
+        self.V, self.W = np.vstack([self.V, v]), W
         row = np.einsum("k,kj->j", W[:, m], self.V)  # not a BLAS gemv, see _row_dots
-        self._update = np.vstack([self._update.reshape(m, v.size), row])
-        self._starts.append(lo)
+        self._update = np.vstack([self._update, row])
+        self._starts.append(k - 1)
 
     def _dots(self, X: np.ndarray) -> np.ndarray:
         """(m, N) dots of rows X with the rows of V, from each one's offset on."""
@@ -163,22 +149,26 @@ class TransformChain:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """U x for a single vector or a (N, n) batch of row vectors, in a new array."""
         x = np.asarray(x, dtype=np.float64)
+        X = x.reshape(-1, x.shape[-1])
+        if X.shape[1] != self.n:
+            raise ValueError("dimension mismatch")
         if not self._starts:
             return x.copy()
-        X = x.reshape(-1, x.shape[-1])
-        if X.shape[1] != self.V.shape[1]:
-            raise ValueError("dimension mismatch")
         out = np.empty(X.shape)
         _subtract_products(out, X, self._dots(X), self._update)
         return out.reshape(x.shape)
 
-    def materialize(self, n: int) -> np.ndarray:
-        """Dense n x n matrix of the product, for validation at small n."""
-        return self.apply(np.eye(n)).T
+
+def householder_from_target(a: np.ndarray, k: int = 1) -> TransformChain:
+    """The one-reflection chain mapping e_k to a/||a||, as ``TransformChain.append``."""
+    a = np.asarray(a, dtype=np.float64)
+    chain = TransformChain(a.size)
+    chain.append(a, k)
+    return chain
 
 
-def _reflections(vectors: Iterable[np.ndarray], limit: int | None = None) -> TransformChain:
-    """Chain U_1 U_2 ... of at most ``limit`` reflections built from the vectors.
+def _reflections(vectors: Iterable[np.ndarray], n: int, limit: int | None = None) -> TransformChain:
+    """Chain U_1 U_2 ... on R^n of at most ``limit`` reflections built from the vectors.
 
     Each vector w is mapped to U^T w = w - V^T W^T V w under the chain
     built so far, its leading k-1 entries are zeroed, and U_k, with k =
@@ -188,7 +178,7 @@ def _reflections(vectors: Iterable[np.ndarray], limit: int | None = None) -> Tra
     A vector whose remainder is at most 1e-12 ||w|| already lies in that
     span and adds no reflection.  The vectors are drawn lazily, not modified.
     """
-    chain = TransformChain()
+    chain = TransformChain(n)
     for w in vectors:
         if len(chain) == limit:
             break
@@ -196,9 +186,9 @@ def _reflections(vectors: Iterable[np.ndarray], limit: int | None = None) -> Tra
         if chain._starts:
             rem -= chain.V.T @ (chain.W.T @ chain._dots(rem[None])[:, 0])
         rem[: len(chain)] = 0.0
-        if np.linalg.norm(rem) <= 1e-12 * np.linalg.norm(w):
+        if _norm(rem) <= 1e-12 * _norm(w):
             continue
-        chain.append(householder_from_target(rem, k=len(chain) + 1))
+        chain.append(rem, len(chain) + 1)
     return chain
 
 
@@ -208,16 +198,16 @@ def complete_first_k_columns(columns: list[np.ndarray]) -> TransformChain:
 
     By orthonormality the l-th column, expressed in the frame of the
     previous reflections, has zeros before index l up to rounding, so U_l
-    has offset l.
+    has offset l.  At least one column is needed: it gives the dimension.
     """
     cols = [np.asarray(c, dtype=np.float64) for c in columns]
     if not cols:
-        return TransformChain()
+        raise ValueError("no columns: the chain's dimension is unknown")
     # more than n columns in R^n cannot pass this check either
     G = np.array([[ci @ cj for cj in cols] for ci in cols])
     if np.abs(G - np.eye(len(cols))).max() > 1e-10:
         raise ValueError("columns not orthonormal")
-    return _reflections(cols)
+    return _reflections(cols, cols[0].size)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +219,6 @@ class ForwardConstruction:
 
     def __init__(self, n: int, T: float):
         self.n = n
-        self.T = T
         self._scale = math.sqrt(T / n)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -254,7 +243,6 @@ class BrownianBridgeConstruction:
 
     def __init__(self, n: int, T: float):
         self.n = n
-        self.T = T
         dt = T / n
         # schedule over grid indices 0..n, value at 0 pinned to zero
         mid, left, right, bounds = [], [], [], []
@@ -342,7 +330,6 @@ class PcaConstruction:
 
     def __init__(self, n: int, T: float):
         self.n = n
-        self.T = T
         lam, vecs = pca_factors(n, T)
         self._A = vecs * np.sqrt(lam)
 
@@ -365,7 +352,6 @@ class ChainConstruction:
         self.chain = chain
         self.base = base
         self.n = base.n
-        self.T = base.T
         # rows of (C V^T W)^T; base.apply maps rows x^T to (C x)^T
         self._update = chain.W.T @ base.apply(chain.V) if chain._starts else None
 
@@ -472,7 +458,6 @@ class KroneckerConstruction:
         self.K1 = np.asarray(K1, dtype=np.float64)
         self.time = time_construction
         self.n = self.K1.shape[0] * time_construction.n
-        self.T = time_construction.T
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

@@ -51,7 +51,7 @@ def test_criterion_2_linear_algebra_suite():
     # reflections: orthogonality and involution at 1e-12
     for n in (2, 5, 16, 64):
         refl = tr.householder_from_target(gen.standard_normal(n))
-        U = tr.TransformChain([refl]).materialize(n)
+        U = tr.construction_matrix(refl)
         assert np.abs(U.T @ U - np.eye(n)).max() <= 1e-12
         for _ in range(100):
             x = gen.standard_normal(n)
@@ -67,7 +67,7 @@ def test_criterion_2_linear_algebra_suite():
     for n, k in ((4, 2), (16, 5), (64, 12)):
         Q, _ = np.linalg.qr(gen.standard_normal((n, n)))
         chain = tr.complete_first_k_columns([Q[:, j] for j in range(k)])
-        U = chain.materialize(n)
+        U = tr.construction_matrix(chain)
         assert np.abs(U[:, :k] - Q[:, :k]).max() <= 1e-10
         assert np.abs(U.T @ U - np.eye(n)).max() <= 1e-10
     elapsed = time.perf_counter() - t0
@@ -296,7 +296,7 @@ def test_criterion_7_covariance_statistics():
     n, N = 64, 2**16
     spec = reg.asian_spec(100.0, 0.04, 0.2, 1.0, n)
     rv = reg.logexp_coefficients(spec)
-    U = reg.regression_transform(rv).materialize(n)
+    U = tr.construction_matrix(reg.regression_transform(rv))
     X = np.random.default_rng(707).standard_normal((N, n))
     G = spec.evaluate(X @ U.T)
     Y = rv.norm * X[:, 0]

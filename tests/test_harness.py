@@ -14,6 +14,7 @@ import pytest
 
 from qmcpricer import cli, harness, rng
 from qmcpricer.regression import asian_spec, logexp_coefficients
+from qmcpricer.transforms import construction_matrix
 
 
 def _cfg(**kw):
@@ -618,6 +619,25 @@ def test_cli_coeffs_nonfinite_exits_4_like_price(capsys):
     assert captured.err == "numerical failure: non-finite estimate\n"
 
 
+def test_finite_coefficients_whose_norm_overflows_are_reflected(capsys):
+    # at rate 700 every coefficient is finite, 2.54e304, but a . a overflows:
+    # coeffs prints them with their finite norm, and the regression chain
+    # reflects onto them instead of skipping them as a zero vector
+    assert cli.main(["coeffs", "--n", "4", "--rate", "700"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = captured.out.splitlines()
+    a = np.array([float(row.split()[1]) for row in out[1:]])
+    assert len(a) == 4 and np.all(a > 1e304) and np.all(np.isfinite(a))
+    scale = a.max()
+    norm = float(out[0].rsplit("norm=", 1)[1])
+    assert norm == pytest.approx(scale * np.linalg.norm(a / scale), rel=1e-15)
+    cfg = _cfg(methods=["regression"], n=4, paths=[64], batches=2, rate=700.0)
+    chain = harness._build_problem(cfg).constructions["regression"].chain
+    assert len(chain) == 1 and chain.V.shape == (1, 4)
+    np.testing.assert_allclose(construction_matrix(chain)[:, 0], a / norm, atol=1e-14)
+
+
 def test_cli_coeffs_output(capsys):
     rc = cli.main(["coeffs", "--payoff", "asian", "--n", "4"])
     assert rc == 0
@@ -639,7 +659,7 @@ def test_cli_coeffs_asian_barrier_prints_the_reflected_vector(capsys):
         payoff="asian-barrier", methods=["regression"], n=4, paths=[2], barrier=90.0
     )
     chain = harness._build_problem(cfg).constructions["regression"].chain
-    first_column = chain.materialize(4)[:, 0]
+    first_column = construction_matrix(chain)[:, 0]
     np.testing.assert_allclose(first_column, a / np.linalg.norm(a), atol=1e-14)
 
 

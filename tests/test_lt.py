@@ -53,7 +53,7 @@ def test_columns_orthonormal():
 def test_chain_orthogonal_and_matches_columns():
     spec = reg.asian_spec(100.0, 0.04, 0.2, 1.0, 24)
     res = lt.lt_transform(spec, 5)
-    U = res.chain.materialize(24)
+    U = tr.construction_matrix(res.chain)
     np.testing.assert_allclose(U.T @ U, np.eye(24), atol=1e-10)
     np.testing.assert_allclose(U[:, :5], res.columns, atol=1e-10)
 
@@ -82,7 +82,7 @@ def test_degenerate_directions_fall_back_to_canonical():
     assert res.degenerate_columns == [2, 3]
     G = res.columns.T @ res.columns
     np.testing.assert_allclose(G, np.eye(3), atol=1e-10)
-    U = res.chain.materialize(4)
+    U = tr.construction_matrix(res.chain)
     np.testing.assert_allclose(U.T @ U, np.eye(4), atol=1e-10)
 
 

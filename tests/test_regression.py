@@ -182,7 +182,7 @@ def test_regression_transform_direction_invariant():
 def test_regression_transform_columns_orthogonal_to_a():
     # all columns past the first are uncorrelated directions: U^T a = |a| e1
     rv = reg.logexp_coefficients(reg.asian_spec(1.0, 0.04, 0.2, 1.0, 12))
-    U = reg.regression_transform(rv).materialize(12)
+    U = tr.construction_matrix(reg.regression_transform(rv))
     proj = U.T @ rv.a
     assert abs(proj[0] - rv.norm) < 1e-12
     np.testing.assert_allclose(proj[1:], 0.0, atol=1e-12)
@@ -199,7 +199,7 @@ def test_regression_chain_two_providers():
     gen = np.random.default_rng(13)
     a1, a2 = gen.standard_normal(8), gen.standard_normal(8)
     chain = reg.regression_chain([a1, a2], 8)
-    U = chain.materialize(8)
+    U = tr.construction_matrix(chain)
     np.testing.assert_allclose(U.T @ U, np.eye(8), atol=1e-10)
     # first column carries a1; a2 lies in the span of the first two columns
     np.testing.assert_allclose(U[:, 0], a1 / np.linalg.norm(a1), atol=1e-12)
@@ -218,7 +218,7 @@ def test_regression_chain_second_vector_first_entry_zero():
     assert len(chain) == 2
     # the second reflection fixes coordinate 1 and maps e2 to the zeroed
     # direction, so column 2 of the product is U1 applied to it
-    U = chain.materialize(5)
+    U = tr.construction_matrix(chain)
     np.testing.assert_allclose(U[:, 1], first.apply(tilde / np.linalg.norm(tilde)), atol=1e-10)
 
 
@@ -227,7 +227,7 @@ def test_regression_chain_skips_zero_provider():
     a2 = gen.standard_normal(4)
     chain = reg.regression_chain([np.zeros(4), a2], 4)
     # the zero vector contributes no reflection; a2 still lands in column 2
-    U = chain.materialize(4)
+    U = tr.construction_matrix(chain)
     resid = a2 - U[:, :2] @ (U[:, :2].T @ a2)
     np.testing.assert_allclose(resid, 0.0, atol=1e-12)
 
@@ -239,7 +239,9 @@ def test_regression_chain_zero_leading_provider_matches_single():
     assert not np.any(bc.a)
     rv = reg.logexp_coefficients(reg.asian_spec(100.0, 0.04, 0.2, 1.0, 8))
     chain = reg.regression_chain([bc.a, rv.a], 8)
-    np.testing.assert_array_equal(chain.materialize(8), reg.regression_transform(rv).materialize(8))
+    np.testing.assert_array_equal(
+        tr.construction_matrix(chain), tr.construction_matrix(reg.regression_transform(rv))
+    )
 
 
 def test_regression_chain_leaves_provider_arrays_unchanged():
@@ -254,7 +256,7 @@ def test_exact_linear_chain_canonical():
     e3[2] = 1.0
     chain = reg.regression_chain([e3], 4)
     assert len(chain) == 1
-    U = chain.materialize(4)
+    U = tr.construction_matrix(chain)
     # w^T U x depends on x_1 only
     np.testing.assert_allclose(e3 @ U, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
@@ -263,7 +265,7 @@ def test_exact_linear_chain_two_vectors():
     gen = np.random.default_rng(16)
     ws = [gen.standard_normal(8), gen.standard_normal(8)]
     chain = reg.regression_chain(ws, 8)
-    U = chain.materialize(8)
+    U = tr.construction_matrix(chain)
     for w in ws:
         np.testing.assert_allclose((w @ U)[2:], 0.0, atol=1e-12)
 
@@ -273,7 +275,7 @@ def test_exact_linear_chain_dependent_vectors():
     w = gen.standard_normal(6)
     chain = reg.regression_chain([w, 2.0 * w, np.zeros(6)], 6)
     assert len(chain) == 1
-    U = chain.materialize(6)
+    U = tr.construction_matrix(chain)
     np.testing.assert_allclose((w @ U)[1:], 0.0, atol=1e-12)
 
 
@@ -297,7 +299,7 @@ def test_uncorrelatedness_monte_carlo():
     S0, r, sigma, T, n = 1.0, 0.04, 0.2, 1.0, 16
     spec = reg.asian_spec(S0, r, sigma, T, n)
     rv = reg.logexp_coefficients(spec)
-    U = reg.regression_transform(rv).materialize(n)
+    U = tr.construction_matrix(reg.regression_transform(rv))
     N = 2**16
     X = np.random.default_rng(19).standard_normal((N, n))
     G = spec.evaluate(X @ U.T)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +16,15 @@ def brownian_cov(n, T):
 
 
 def test_householder_identity_target():
-    refl = tr.householder_from_target(np.array([1.0, 0.0, 0.0]))
-    assert refl.is_identity
+    # a target along e_k appends the identity: it counts in len, adds no row
+    # to V and raises no RuntimeWarning
     x = np.array([0.3, -1.2, 2.0])
-    np.testing.assert_array_equal(refl.apply(x), x)
+    for target, k in (([1.0, 0.0, 0.0], 1), ([0.0, 2.5, 0.0], 2), ([0.0, 0.0, 4.0], 3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            refl = tr.householder_from_target(np.array(target), k=k)
+        assert len(refl) == 1 and refl.V.shape == (0, 3), (target, k)
+        np.testing.assert_array_equal(refl.apply(x), x)
 
 
 def test_householder_maps_e1():
@@ -39,14 +45,15 @@ def test_householder_involution_of_example():
 
 
 def test_householder_reflects_its_normal():
+    # I - 2 v v^T / v^T v maps e_2 to e_2 - 2 (v_2 / v^T v) v
     v = np.array([0.0, 1.0, -2.0, 0.5])
-    refl = tr.HouseholderReflection(v.copy(), offset=1)
+    refl = tr.householder_from_target(np.eye(4)[1] - 2.0 * v[1] / (v @ v) * v, k=2)
     np.testing.assert_allclose(refl.apply(v), -v, atol=1e-12)
 
 
 def test_householder_fixes_orthogonal_complement():
     v = np.array([1.0, 1.0, 0.0])
-    refl = tr.HouseholderReflection(v, offset=1)
+    refl = tr.householder_from_target(np.eye(3)[0] - 2.0 * v[0] / (v @ v) * v)
     x = np.array([1.0, -1.0, 3.0])  # orthogonal to v
     np.testing.assert_allclose(refl.apply(x), x, atol=1e-14)
 
@@ -76,17 +83,45 @@ def test_householder_offset_support():
 def test_householder_target_not_in_subspace():
     with pytest.raises(ValueError, match="target not in subspace"):
         tr.householder_from_target(np.array([0.5, 1.0, 2.0]), k=2)
+    # a chain on R^3 also refuses a target of another length and an offset
+    # outside 1..3, and appends nothing
+    chain = tr.TransformChain(3)
+    for a, k, match in (
+        (np.ones(4), 1, "expected \\(3,\\)"),
+        (np.ones((1, 3)), 1, "expected \\(3,\\)"),
+        (np.ones(3), 0, "k out of range"),
+        (np.ones(3), 4, "k out of range"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            chain.append(a, k)
+    assert len(chain) == 0
 
 
 def test_householder_zero_target_is_identity():
-    refl = tr.householder_from_target(np.zeros(4))
-    assert refl.is_identity
+    for k in (1, 3):
+        refl = tr.householder_from_target(np.zeros(4), k=k)
+        assert len(refl) == 1 and refl.V.shape == (0, 4)
+
+
+def test_norm_rescales_only_where_the_square_overflows():
+    gen = np.random.default_rng(10)
+    for x in (gen.standard_normal(7), 1e150 * gen.standard_normal(7), np.zeros(3), np.zeros(0)):
+        assert tr._norm(x) == np.linalg.norm(x)
+    big = np.full(4, 2.5e304)
+    with np.errstate(over="ignore"):
+        assert np.linalg.norm(big) == math.inf
+    assert tr._norm(big) == pytest.approx(5e304, rel=1e-15)
+    assert tr._norm(np.array([1.0, math.inf])) == math.inf
+    assert math.isnan(tr._norm(np.array([1e300, math.nan])))
 
 
 def test_apply_dimension_mismatch():
     refl = tr.householder_from_target(np.array([3.0, 4.0]))
     with pytest.raises(ValueError, match="dimension mismatch"):
         refl.apply(np.ones(3))
+    # an empty chain knows its dimension too
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        tr.TransformChain(2).apply(np.ones((4, 3)))
 
 
 def test_apply_householder_batch():
@@ -111,12 +146,14 @@ def test_apply_householder_row_blocks_match_one_update_bitwise():
         want = X.copy()
         sub = want[:, k - 1 :]
         # the row dots are numpy's own reduction, not a BLAS gemv
-        sub -= (2.0 * np.einsum("ij,j->i", sub, refl.v))[:, None] * refl.v
+        v = refl.V[0, k - 1 :]
+        sub -= (2.0 * np.einsum("ij,j->i", sub, v))[:, None] * v
         np.testing.assert_array_equal(refl.apply(X), want)
         np.testing.assert_array_equal(X, before)
         # two reflections go through the chain's WY update, so against the
         # reference only to rounding
-        chain = tr.TransformChain([refl, refl])
+        chain = tr.householder_from_target(target, k=k)
+        chain.append(target, k)
         want = _reflect_one_by_one(chain, X)
         np.testing.assert_allclose(chain.apply(X), want, rtol=0, atol=1e-12)
 
@@ -125,41 +162,43 @@ def _reflect_one_by_one(chain, x):
     # reference: U x with the reflections applied to x in turn, the rightmost
     # first, each as x - 2 (x . v) v over its coordinates offset..n
     X = np.array(x, dtype=np.float64).reshape(-1, np.shape(x)[-1])
-    for refl in reversed(chain.reflections):
-        if not refl.is_identity:
-            sub = X[:, refl.offset - 1 :]
-            sub -= 2.0 * np.outer(sub @ refl.v, refl.v)
+    for lo, v in reversed(list(zip(chain._starts, chain.V))):
+        sub = X[:, lo:]
+        sub -= 2.0 * np.outer(sub @ v[lo:], v[lo:])
     return X.reshape(np.shape(x))
+
+
+def _chain(n, targets):
+    # the chain of reflections mapping e_k to each (target, k) in turn
+    chain = tr.TransformChain(n)
+    for a, k in targets:
+        chain.append(a, k)
+    return chain
 
 
 def test_chain_apply_matches_one_by_one_reference():
     gen = np.random.default_rng(14)
     n = 300
     targets = np.triu(gen.standard_normal((25, n)))  # target k is zero before k
-    identity = tr.householder_from_target(np.eye(1, n, 1)[0], k=2)
+    identity = (np.eye(1, n, 1)[0], 2)
     cases = {
-        "offsets 1..25": [tr.householder_from_target(t, k=k) for k, t in enumerate(targets, 1)],
-        "offsets 3, 5, 9": [tr.householder_from_target(targets[k - 1], k=k) for k in (3, 5, 9)],
-        "with identities": [
-            tr.householder_from_target(targets[0]),
-            identity,
-            tr.householder_from_target(targets[2], k=3),
-            identity,
-        ],
+        "offsets 1..25": [(t, k) for k, t in enumerate(targets, 1)],
+        "offsets 3, 5, 9": [(targets[k - 1], k) for k in (3, 5, 9)],
+        "with identities": [(targets[0], 1), identity, (targets[2], 3), identity],
     }
-    assert identity.is_identity
+    assert tr.householder_from_target(*identity).V.shape == (0, n)
     # more rows than one update block holds, and a last block that is not full
     X = gen.standard_normal((2 * (tr._UPDATE_BLOCK // n) + 5, n))
     before = X.copy()
     for label, reflections in cases.items():
-        chain = tr.TransformChain(reflections)
+        chain = _chain(n, reflections)
         assert len(chain) == len(reflections)
         want = _reflect_one_by_one(chain, X)
         got = chain.apply(X)
         np.testing.assert_array_equal(X, before)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), label
         np.testing.assert_allclose(chain.apply(X[7]), want[7], rtol=0, atol=1e-12)
-    empty = tr.TransformChain()
+    empty = tr.TransformChain(n)
     assert len(empty) == 0
     for x in (X[:3], X[0]):
         got = empty.apply(x)
@@ -172,9 +211,9 @@ def test_identity_reflections_count_toward_the_next_offset():
     # offset 1, so the next column's reflection has offset 2
     second = np.array([0.0, 0.6, 0.0, 0.8])
     chain = tr.complete_first_k_columns([np.eye(4)[0], second])
-    assert [r.offset for r in chain.reflections] == [1, 2]
-    assert chain.reflections[0].is_identity and not chain.reflections[1].is_identity
-    U = chain.materialize(4)
+    assert len(chain) == 2
+    assert chain._starts == [1] and chain.V.shape == (1, 4)
+    U = tr.construction_matrix(chain)
     np.testing.assert_allclose(U[:, :2], np.stack([np.eye(4)[0], second], axis=1), atol=1e-15)
     x = np.random.default_rng(15).standard_normal(4)
     np.testing.assert_allclose(chain.apply(x), _reflect_one_by_one(chain, x), atol=1e-15)
@@ -182,10 +221,10 @@ def test_identity_reflections_count_toward_the_next_offset():
 
 def test_chain_product_order_and_orthogonality():
     gen = np.random.default_rng(2)
-    r1 = tr.householder_from_target(gen.standard_normal(5))
-    r2 = tr.householder_from_target(np.concatenate([[0.0], gen.standard_normal(4)]), k=2)
-    chain = tr.TransformChain([r1, r2])
-    U = chain.materialize(5)
+    a1, a2 = gen.standard_normal(5), np.concatenate([[0.0], gen.standard_normal(4)])
+    r1, r2 = tr.householder_from_target(a1), tr.householder_from_target(a2, k=2)
+    chain = _chain(5, [(a1, 1), (a2, 2)])
+    U = tr.construction_matrix(chain)
     np.testing.assert_allclose(U.T @ U, np.eye(5), atol=1e-12)
     x = gen.standard_normal(5)
     # product U1 U2 applies the rightmost factor first
@@ -195,12 +234,12 @@ def test_chain_product_order_and_orthogonality():
 def test_complete_canonical_columns_is_identity():
     cols = [np.eye(4)[:, j] for j in range(3)]
     chain = tr.complete_first_k_columns(cols)
-    np.testing.assert_allclose(chain.materialize(4), np.eye(4), atol=1e-14)
+    np.testing.assert_allclose(tr.construction_matrix(chain), np.eye(4), atol=1e-14)
 
 
 def test_complete_single_swap_column():
     chain = tr.complete_first_k_columns([np.array([0.0, 1.0])])
-    U = chain.materialize(2)
+    U = tr.construction_matrix(chain)
     np.testing.assert_allclose(U[:, 0], [0.0, 1.0], atol=1e-14)
     np.testing.assert_allclose(U.T @ U, np.eye(2), atol=1e-14)
 
@@ -209,7 +248,7 @@ def test_complete_random_orthogonal_columns():
     gen = np.random.default_rng(3)
     Q, _ = np.linalg.qr(gen.standard_normal((4, 4)))
     chain = tr.complete_first_k_columns([Q[:, 0], Q[:, 1]])
-    U = chain.materialize(4)
+    U = tr.construction_matrix(chain)
     np.testing.assert_allclose(U[:, :2], Q[:, :2], atol=1e-12)
     np.testing.assert_allclose(U.T @ U, np.eye(4), atol=1e-10)
 
@@ -217,6 +256,9 @@ def test_complete_random_orthogonal_columns():
 def test_complete_rejects_non_orthonormal():
     with pytest.raises(ValueError, match="orthonormal"):
         tr.complete_first_k_columns([np.array([1.0, 1.0]) / math.sqrt(2.0), np.array([1.0, 0.0])])
+    # without a column the chain's dimension is unknown
+    with pytest.raises(ValueError, match="no columns"):
+        tr.complete_first_k_columns([])
 
 
 def test_complete_larger_set():
@@ -224,7 +266,7 @@ def test_complete_larger_set():
     Q, _ = np.linalg.qr(gen.standard_normal((24, 24)))
     cols = [Q[:, j] for j in range(8)]
     chain = tr.complete_first_k_columns(cols)
-    U = chain.materialize(24)
+    U = tr.construction_matrix(chain)
     np.testing.assert_allclose(U[:, :8], Q[:, :8], atol=1e-10)
     np.testing.assert_allclose(U.T @ U, np.eye(24), atol=1e-10)
 
@@ -342,7 +384,7 @@ def test_bridge_handles_non_power_of_two():
 
 
 def test_chain_construction_identity_equals_forward():
-    c = tr.ChainConstruction(tr.TransformChain(), tr.ForwardConstruction(5, 1.0))
+    c = tr.ChainConstruction(tr.TransformChain(5), tr.ForwardConstruction(5, 1.0))
     f = tr.ForwardConstruction(5, 1.0)
     x = np.random.default_rng(5).standard_normal(5)
     np.testing.assert_array_equal(c.apply(x), f.apply(x))
@@ -350,7 +392,7 @@ def test_chain_construction_identity_equals_forward():
 
 def test_chain_construction_covariance_preserved():
     gen = np.random.default_rng(6)
-    chain = tr.TransformChain([tr.householder_from_target(gen.standard_normal(7))])
+    chain = tr.householder_from_target(gen.standard_normal(7))
     c = tr.ChainConstruction(chain, tr.ForwardConstruction(7, 1.0))
     A = tr.construction_matrix(c)
     assert np.abs(A @ A.T - brownian_cov(7, 1.0)).max() <= 1e-9
@@ -379,13 +421,14 @@ def _fused_chains_and_bases():
     single = {
         "asian": regression_chain([asian], n),
         "asian-barrier": regression_chain([barrier, asian], n),
-        "offset 3": tr.TransformChain([tr.householder_from_target(offset_target, k=3)]),
+        "offset 3": tr.householder_from_target(offset_target, k=3),
         "lt asian": lt_transform(asian_spec(100.0, 0.04, 0.2, 1.0, n), n).chain,
         "lt zero gradient": lt_transform(asian_spec(100.0, 0.04, 0.0, 1.0, n), 5).chain,
     }
     assert len(single["asian-barrier"]) == 2
-    assert single["offset 3"].reflections[0].offset == 3
-    assert [r.offset for r in single["lt asian"].reflections] == list(range(1, n + 1))
+    assert single["offset 3"]._starts == [2]
+    # LT's last reflection maps e_24 to itself: the identity, with no row in V
+    assert len(single["lt asian"]) == n and single["lt asian"]._starts == list(range(n - 1))
     for label, chain in single.items():
         for cls in TIME_CONSTRUCTIONS:
             yield f"{label} / {cls.__name__}", chain, cls(n, 1.0)
@@ -425,10 +468,8 @@ def test_fused_chain_construction_row_blocks():
     before = X.copy()
     for m in (1, 25):
         targets = np.triu(gen.standard_normal((m, n)))  # target k is zero before k
-        chain = tr.TransformChain(
-            tr.householder_from_target(t, k=k) for k, t in enumerate(targets, start=1)
-        )
-        assert not any(r.is_identity for r in chain.reflections)
+        chain = _chain(n, [(t, k) for k, t in enumerate(targets, start=1)])
+        assert chain.V.shape == (m, n)
         want = base.apply(_reflect_one_by_one(chain, X))
         got = tr.ChainConstruction(chain, base).apply(X)
         np.testing.assert_array_equal(X, before)
@@ -496,7 +537,7 @@ def test_basket_larger_covariance():
 def test_basket_chain_construction_covariance():
     spec = _basket_spec(2, 3, 0.1, [0.2, 0.25])
     gen = np.random.default_rng(8)
-    chain = tr.TransformChain([tr.householder_from_target(gen.standard_normal(6))])
+    chain = tr.householder_from_target(gen.standard_normal(6))
     C = tr.construction_matrix(tr.ChainConstruction(chain, _kron_forward(spec)))
     target = np.kron(spec.R(), brownian_cov(3, 1.0))
     assert np.abs(C @ C.T - target).max() <= 1e-10
