@@ -199,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
     except MemoryError as exc:
-        parser.error(f"out of memory: {exc}")  # exits 2
+        parser.error(f"out of memory: {exc}" if str(exc) else "out of memory")  # exits 2
 
 
 if __name__ == "__main__":

@@ -3,13 +3,15 @@
 A run prices one payoff with one or more path constructions over a grid of
 sample sizes N.  Every batch uses the same Sobol points under its own
 random shift derived from (seed, batch), so results are reproducible.
-A batch is priced in fixed row chunks (about 4 MiB of normals, at least
-512 rows) on a pool of worker threads; every chunk writes its own slice
-of the payoff vector, so the estimates do not depend on the thread count
-or schedule, and memory does not grow with N beyond the Sobol states and
-the payoffs.  While a pool of more than one thread runs, OpenBLAS is held
-at one thread for the whole process, so PCA's per-chunk products do not
-start BLAS threads that compete with the chunk threads.
+The points are priced in fixed row chunks (about 4 MiB of normals, at
+least 512 rows) on a pool of worker threads.  Each chunk makes its own
+Sobol states once and, batch by batch, turns them into normals in one
+reused buffer and prices every method on them, keeping only the payoff
+sums over each prefix N.  The sums are added in chunk order, so the
+estimates do not depend on the thread count or schedule, and memory does
+not grow with N.  While a pool of more than one thread runs, OpenBLAS is
+held at one thread for the whole process, so PCA's per-chunk products do
+not start BLAS threads that compete with the chunk threads.
 
 Estimates are deterministic for a given configuration and seed.  Wall
 times in the raw rows are measurements and naturally vary from run to
@@ -24,6 +26,7 @@ import math
 import os
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -206,7 +209,7 @@ class ExperimentConfig:
         # the basket takes its vols from sigma_min and sigma_max, not sigma
         if self.payoff != "basket" and self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")
-        dim = _PAYOFF_TABLE[self.payoff].market(self).dim
+        dim = _PAYOFF_TABLE[self.payoff].dim(self)  # a market's correlation is O(assets^2)
         if dim > rng.max_dimension():
             raise ValueError(
                 f"path dimension {dim} exceeds the Sobol table's {rng.max_dimension()} dimensions"
@@ -276,17 +279,26 @@ def _barrier_a(cfg: ExperimentConfig) -> np.ndarray:
 @dataclass(frozen=True)
 class _PayoffRow:
     market: Callable  # cfg -> BasketCovSpec; a single asset is the one-asset basket
+    dim: Callable  # cfg -> the market's path dimension m n, without building it
     reduction: Callable  # (S, strike, barrier) -> undiscounted payoff of (..., m, n) prices
     providers: tuple  # cfg -> coefficient vector of each smooth part, in chain order
     lt_spec: Callable | None  # cfg -> log-exp spec for LT; None refuses the method
 
 
+def _single_dim(cfg: ExperimentConfig) -> int:
+    return cfg.n
+
+
+def _basket_dim(cfg: ExperimentConfig) -> int:
+    return cfg.assets * cfg.n
+
+
 _PAYOFF_TABLE = {
-    "asian": _PayoffRow(_single_cov, average_call, (_average_a,), _average_spec),
-    "basket": _PayoffRow(_basket_cov, average_call, (_average_a,), _average_spec),
-    "digital-barrier": _PayoffRow(_single_cov, barrier_hit, (_barrier_a,), None),
+    "asian": _PayoffRow(_single_cov, _single_dim, average_call, (_average_a,), _average_spec),
+    "basket": _PayoffRow(_basket_cov, _basket_dim, average_call, (_average_a,), _average_spec),
+    "digital-barrier": _PayoffRow(_single_cov, _single_dim, barrier_hit, (_barrier_a,), None),
     "asian-barrier": _PayoffRow(
-        _single_cov, barrier_average_call, (_barrier_a, _average_a), None
+        _single_cov, _single_dim, barrier_average_call, (_barrier_a, _average_a), None
     ),
 }
 
@@ -370,74 +382,73 @@ def _chunk_rows(dim: int) -> int:
     return max(_MIN_CHUNK_ROWS, 1 << max(0, (_CHUNK_ELEMENTS // dim).bit_length() - 1))
 
 
-def _evaluate(pool, problem: _Problem, methods, count: int, normals: Callable):
-    """Payoffs of points 0..count-1 under each method, in row chunks on ``pool``.
+def _map_chunks(pool, workers: int, chunk: Callable, count: int, rows: int):
+    """``chunk(lo)`` for the start lo of every ``rows``-row chunk of points
+    0..count-1, in chunk order, on ``pool``.  At most two chunks per worker
+    wait in its queue, so the queue does not grow with ``count``; a single
+    chunk runs on the calling thread, with no worker thread to start."""
+    starts = range(0, count, rows)
+    if len(starts) == 1:
+        yield chunk(0)
+        return
+    queued = deque()
+    for lo in starts:
+        queued.append(pool.submit(chunk, lo))
+        if len(queued) > 2 * workers:
+            yield queued.popleft().result()
+    while queued:
+        yield queued.popleft().result()
 
-    ``normals(lo, hi)`` gives the normals of points lo..hi-1.  Chunk bounds
-    depend on the dimension alone and each chunk writes its own slice, so
-    the payoffs do not depend on the threads.  Returns the (count,) payoff
-    vector per method and the seconds each method spent, summed over chunks.
-    """
-    values = {m: np.empty(count) for m in methods}
+
+def _evaluate(pool, workers: int, problem: _Problem, method: str, X: np.ndarray) -> np.ndarray:
+    """Payoffs of the rows of normals ``X`` under ``method``, in row chunks on
+    ``pool``.  Chunk bounds depend on the dimension alone, so the payoffs do
+    not depend on the threads."""
     rows = _chunk_rows(problem.dim)
 
-    def chunk(lo: int) -> list[float]:
-        X = normals(lo, min(lo + rows, count))
-        seconds = []
-        for m in methods:
-            t0 = time.perf_counter()
-            values[m][lo : lo + len(X)] = problem.evaluate(problem.constructions[m], X)
-            seconds.append(time.perf_counter() - t0)
-        return seconds
+    def chunk(lo: int) -> np.ndarray:
+        return problem.evaluate(problem.constructions[method], X[lo : lo + rows])
 
-    starts = range(0, count, rows)
-    # a single chunk runs on the calling thread: no worker thread to start
-    per_chunk = list(pool.map(chunk, starts)) if len(starts) > 1 else [chunk(0)]
-    return values, {m: sum(s[i] for s in per_chunk) for i, m in enumerate(methods)}
-
-
-def _run_batch(cfg: ExperimentConfig, problem: _Problem, points: np.ndarray, batch: int, pool):
-    """Price all methods and all prefix sizes for one random shift.
-
-    One evaluation at the largest N serves the whole grid: the estimate at
-    a smaller N is the mean over the corresponding prefix of payoffs, and
-    the reported per-row runtime is the method's evaluation time, summed
-    over the batch's chunks.
-    """
-    shift = rng.shift_vector(cfg.seed, batch, problem.dim)
-
-    def normals(lo: int, hi: int) -> np.ndarray:
-        return rng.shifted_normals(points[lo:hi], shift)
-
-    values, seconds = _evaluate(pool, problem, cfg.methods, len(points), normals)
-    out = []
-    for method in cfg.methods:
-        ms = seconds[method] * 1000.0
-        for N in cfg.paths:
-            out.append((method, N, batch, float(values[method][:N].mean()), ms))
-    return out
-
-
-def _sobol_block(count: int, dim: int) -> np.ndarray:
-    """``rng.sobol_block``, with a MemoryError that names the block's size."""
-    try:
-        return rng.sobol_block(count, dim)
-    except MemoryError as exc:
-        raise MemoryError(f"no room for N={count} Sobol points in dimension {dim}") from exc
+    return np.concatenate(list(_map_chunks(pool, workers, chunk, len(X), rows)))
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[RawRow], list[BatchStats]]:
-    """Batched randomized-QMC estimates for every (method, N) in the config."""
+    """Batched randomized-QMC estimates for every (method, N) in the config:
+    the chunks' payoff sums over points 0..N-1, added in chunk order, over N."""
     problem = _build_problem(cfg)
-    max_n = max(cfg.paths)
-    points = _sobol_block(max_n, problem.dim)
+    dim, max_n, rows = problem.dim, max(cfg.paths), _chunk_rows(problem.dim)
+    shifts = [rng.shift_vector(cfg.seed, b, dim) for b in range(cfg.batches)]
+    methods, paths = cfg.methods, cfg.paths
+    sums = np.zeros((len(methods), cfg.batches, len(paths)))
+    seconds = np.zeros((len(methods), cfg.batches))
+
+    def chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        points = rng.sobol_block(min(rows, max_n - lo), dim, start=lo)
+        X = np.empty(points.shape)  # every batch's normals, in turn
+        part, part_s = np.zeros_like(sums), np.zeros_like(seconds)
+        for b, shift in enumerate(shifts):
+            rng.shifted_normals(points, shift, out=X)
+            for i, m in enumerate(methods):
+                t0 = time.perf_counter()
+                v = problem.evaluate(problem.constructions[m], X)
+                part_s[i, b] = time.perf_counter() - t0
+                # chunk sizes and N are powers of two, so N - lo > 0 takes
+                # the whole chunk or, when N is below a chunk, a prefix
+                for j, N in enumerate(paths):
+                    if lo < N:
+                        part[i, b, j] = v[: N - lo].sum()
+        return part, part_s
+
     with _chunk_pool(cfg.workers) as pool:
-        chunks = [_run_batch(cfg, problem, points, b, pool) for b in range(cfg.batches)]
+        for part, part_s in _map_chunks(pool, cfg.workers, chunk, max_n, rows):
+            sums += part
+            seconds += part_s
 
     raw = [
-        RawRow(cfg.payoff, method, cfg.n, N, batch, est, ms)
-        for chunk in chunks
-        for (method, N, batch, est, ms) in chunk
+        RawRow(cfg.payoff, m, cfg.n, N, b, float(sums[i, b, j] / N), seconds[i, b] * 1000.0)
+        for i, m in enumerate(methods)
+        for b in range(cfg.batches)
+        for j, N in enumerate(paths)
     ]
     raw.sort(key=lambda r: (r.payoff, r.method, r.N, r.batch))
 
@@ -482,37 +493,40 @@ def timing_report(
     per-method time isolates transform setup plus path construction plus
     payoff evaluation, run in row chunks on ``cfg.workers`` threads as in
     ``run_experiment``.  Setup (determining the transform) is timed
-    separately and included in the reported total.
+    separately and included in the reported total.  The repeats run
+    round-robin over the methods, so load on the machine during the
+    report moves every method alike.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
-    N = max(cfg.paths)
-    dim = _PAYOFF_TABLE[cfg.payoff].market(cfg).dim
-    X = rng.shifted_normals(_sobol_block(N, dim), rng.shift_vector(cfg.seed, 0, dim))
-    report = []
+    dim = _PAYOFF_TABLE[cfg.payoff].dim(cfg)
+    X = rng.shifted_normals(
+        rng.sobol_block(max(cfg.paths), dim), rng.shift_vector(cfg.seed, 0, dim)
+    )
+    problems, setup_ms, estimates = {}, {}, {}
+    times = {method: [] for method in cfg.methods}
     with _chunk_pool(cfg.workers) as pool:
         for method in cfg.methods:
             t0 = time.perf_counter()
-            problem = _build_problem(replace(cfg, methods=[method]))
-            setup_ms = (time.perf_counter() - t0) * 1000.0
-            times = []
-            estimate = math.nan
-            for _ in range(repeats):
+            problems[method] = _build_problem(replace(cfg, methods=[method]))
+            setup_ms[method] = (time.perf_counter() - t0) * 1000.0
+        for _ in range(repeats):
+            for method in cfg.methods:
                 t0 = time.perf_counter()
-                values, _ = _evaluate(pool, problem, [method], N, lambda lo, hi: X[lo:hi])
-                times.append((time.perf_counter() - t0) * 1000.0)
-                estimate = float(values[method].mean())
-            run_ms = float(np.median(times))
-            report.append(
-                {
-                    "method": method,
-                    "setup_ms": setup_ms,
-                    "run_ms": run_ms,
-                    "total_ms": setup_ms + run_ms,
-                    "estimate": estimate,
-                }
-            )
-    return report
+                values = _evaluate(pool, cfg.workers, problems[method], method, X)
+                times[method].append((time.perf_counter() - t0) * 1000.0)
+                estimates[method] = float(values.mean())
+    run_ms = {method: float(np.median(t)) for method, t in times.items()}
+    return [
+        {
+            "method": method,
+            "setup_ms": setup_ms[method],
+            "run_ms": run_ms[method],
+            "total_ms": setup_ms[method] + run_ms[method],
+            "estimate": estimates[method],
+        }
+        for method in cfg.methods
+    ]
 
 
 def reflection_apply_times(

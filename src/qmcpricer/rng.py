@@ -144,12 +144,15 @@ def _states(a) -> np.ndarray:
     return a
 
 
-def apply_shift(p: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Coordinatewise (p + s) mod 2^32 of uint32 states and shift."""
+def apply_shift(p: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Coordinatewise (p + s) mod 2^32 of uint32 states and shift.
+
+    ``out`` may be float64, which holds every 32-bit sum exactly.
+    """
     p, s = _states(p), _states(s)
     if p.shape[-1] != s.shape[-1]:
         raise ValueError(f"dimension mismatch: {p.shape[-1]} vs {s.shape[-1]}")
-    return p + s
+    return np.add(p, s, out=out, dtype=np.uint32, casting="unsafe")
 
 
 def shift_vector(seed: int, batch: int, dim: int) -> np.ndarray:
@@ -182,10 +185,12 @@ def inv_normal_cdf(u, out: np.ndarray | None = None):
     return z
 
 
-def shifted_normals(points: np.ndarray, shift: np.ndarray) -> np.ndarray:
+def shifted_normals(points: np.ndarray, shift: np.ndarray, out: np.ndarray | None = None):
     """Standard normals Phi^-1(((p + s) mod 2^32 + 1/2) 2^-32) of uint32
-    states, for one point or a block of points, in one fresh buffer."""
-    u = np.add(apply_shift(points, shift), 0.5, dtype=np.float64)
+    states, for one point or a block of points, in ``out`` (a float64 array
+    of the points' shape) or else in one fresh buffer."""
+    u = apply_shift(points, shift, out=np.empty(np.shape(points)) if out is None else out)
+    u += 0.5
     u *= CELL
     return inv_normal_cdf(u, out=u)
 

@@ -32,6 +32,8 @@ _UPDATE_BLOCK = 2**18
 # to 2^19 and 0.58-0.74 s with 2^15, as the per-level calls grow with the
 # block count.
 _BRIDGE_BLOCK = 2**17
+# Entries per row block of the PCA factor's int64 table indices (512 KiB).
+_PCA_BLOCK = 2**16
 
 
 def _row_dots(X: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -314,15 +316,21 @@ def pca_factors(n: int, T: float) -> tuple[np.ndarray, np.ndarray]:
     decreasing order.  The sine has period 2(2n+1) in the integer j(2k-1),
     so the n^2 entries are looked up in a table of one period.  That avoids
     the large arguments whose rounding put the direct form up to 3.6e-14
-    off at n = 2000; the table is within 1e-16 of the exact sines.
+    off at n = 2000; the table is within 1e-16 of the exact sines.  The
+    lookup runs in row blocks into the one (n, n) result, so no n^2 index
+    array is built.
     """
     k = np.arange(1, n + 1)
     lam = (T / n) / (4.0 * np.sin((2 * k - 1) * np.pi / (2 * (2 * n + 1))) ** 2)
     period = 2 * (2 * n + 1)
     table = (2.0 / math.sqrt(2 * n + 1)) * np.sin(np.arange(period) * np.pi / (2 * n + 1))
-    phase = np.outer(k, 2 * k - 1)
-    phase %= period
-    return lam, np.take(table, phase)
+    vecs = np.empty((n, n))
+    rows = max(1, _PCA_BLOCK // n)
+    for lo in range(0, n, rows):
+        phase = np.outer(k[lo : lo + rows], 2 * k - 1)
+        phase %= period
+        np.take(table, phase, out=vecs[lo : lo + rows])
+    return lam, vecs
 
 
 class PcaConstruction:
@@ -330,8 +338,8 @@ class PcaConstruction:
 
     def __init__(self, n: int, T: float):
         self.n = n
-        lam, vecs = pca_factors(n, T)
-        self._A = vecs * np.sqrt(lam)
+        lam, self._A = pca_factors(n, T)
+        self._A *= np.sqrt(lam)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -83,6 +84,21 @@ def test_config_validation():
     with pytest.raises(ValueError, match="path counts must not exceed the Sobol index limit 2\\^32"):
         _cfg(paths=[2 * rng.MAX_INDEX])
     assert _cfg(paths=[rng.MAX_INDEX]).paths == [2**32]
+
+
+def test_oversized_basket_refused_before_its_market_is_built():
+    # a 20000-asset correlation would be 3 GB; the dimension check needs none
+    rng.max_dimension()  # direction table cached outside the measurement
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="path dimension 20000 exceeds"):
+            _cfg(payoff="basket", n=1, assets=20000)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.01 and peak < 10 * 2**20, (elapsed, peak)
 
 
 def test_zero_sigma_deterministic():
@@ -275,8 +291,8 @@ def test_blas_cap_count_under_many_overlapping_runs(blas_threads):
 
 
 def test_peak_memory_flat_in_paths():
-    # Under tracemalloc, going from N = 2^12 to 2^14 may add only the uint32
-    # Sobol states and the (N,) payoff vectors, not (N, n) float64 arrays.
+    # Under tracemalloc, going from N = 2^12 to 2^14 (2 to 8 chunks) adds at
+    # most 1 MiB: no Sobol states, normals or payoffs are kept for all N.
     def peak(N):
         cfg = _cfg(methods=["regression"], n=250, paths=[N], workers=1)
         tracemalloc.start()
@@ -288,8 +304,50 @@ def test_peak_memory_flat_in_paths():
 
     peak(2**12)  # direction table and coefficients cached outside the measurement
     grown = peak(2**14) - peak(2**12)
-    allowed = (2**14 - 2**12) * (250 * 4 + 8)
-    assert grown <= allowed + 2**20, (grown, allowed)
+    assert grown <= 2**20, grown
+
+
+def _batch_major(cfg):
+    """Estimates by (method, N, batch), each the mean over a prefix of one
+    payoff vector priced from the whole (N, dim) block of normals."""
+    problem = harness._build_problem(cfg)
+    points = rng.sobol_block(max(cfg.paths), problem.dim)
+    out = {}
+    for b in range(cfg.batches):
+        X = rng.shifted_normals(points, rng.shift_vector(cfg.seed, b, problem.dim))
+        for m in cfg.methods:
+            v = problem.evaluate(problem.constructions[m], X)
+            out.update({(m, N, b): float(v[:N].mean()) for N in cfg.paths})
+    return out
+
+
+def _every_method(payoff, n, paths):
+    return _cfg(
+        payoff=payoff, methods=harness.supported_methods(payoff, harness.METHODS),
+        n=n // 4 if payoff == "basket" else n, assets=4, paths=paths, barrier=110.0, seed=7,
+    )
+
+
+@pytest.mark.parametrize("payoff", harness.PAYOFFS)
+def test_chunk_major_estimates_match_batch_major_reference(payoff):
+    # dimension 512: 1024-row chunks, so N = 256 is part of one chunk,
+    # 1024 one whole chunk and 4096 the sum of four chunk sums
+    cfg = _every_method(payoff, 512, [256, 1024, 4096])
+    assert harness._chunk_rows(512) == 1024
+    ref = _batch_major(cfg)
+    raw, _ = harness.run_experiment(cfg)
+    assert len(raw) == len(ref)
+    for r in raw:
+        want = ref[r.method, r.N, r.batch]
+        assert abs(r.estimate - want) <= 1e-15 * abs(want), (r, want)
+
+
+@pytest.mark.parametrize("payoff", harness.PAYOFFS)
+def test_grid_within_one_chunk_is_bit_identical_to_batch_major(payoff):
+    cfg = _every_method(payoff, 64, [16, 128, 1024])  # 8192-row chunks
+    ref = _batch_major(cfg)
+    raw, _ = harness.run_experiment(cfg)
+    assert {(r.method, r.N, r.batch): r.estimate for r in raw} == ref
 
 
 def test_grid_prefix_consistency():
@@ -687,9 +745,14 @@ def test_cli_float_overflow_exits_4(argv, capsys):
 
 
 def test_cli_sobol_block_out_of_memory_exits_2(monkeypatch, capsys):
-    # a 2^32-point block is 64 GiB at dimension 4; the stand-in refuses it
-    # before anything is allocated
+    # every chunk of a 2^32-point run makes its own Sobol states on a chunk
+    # thread; the stand-in refuses them there, and the MemoryError reaches
+    # the CLI as one line.  Of the 32768 chunks, only those queued before the
+    # first result was read (two per worker, and one more) ever start.
+    on_main = []
+
     def refuse(count, dim, start=0):
+        on_main.append(threading.current_thread() is threading.main_thread())
         raise MemoryError
 
     monkeypatch.setattr(rng, "sobol_block", refuse)
@@ -697,16 +760,19 @@ def test_cli_sobol_block_out_of_memory_exits_2(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert "N=4294967296 Sobol points in dimension 4" in capsys.readouterr().err
+    assert not any(on_main) and 0 < len(on_main) <= 2 * harness.usable_cores() + 1, on_main
+    lines = [line for line in capsys.readouterr().err.splitlines() if "out of memory" in line]
+    assert lines == ["qmcpricer: error: out of memory"], lines
 
 
 def test_benchmark_trace_hooks_resolve():
     # The pricing benchmark wraps library entry points at the names the
     # harness looks them up by; a name that disappears, or a coefficient
     # function no longer called through the harness namespace, silently
-    # drops a per-layer metric.  Four hooks name deleted code: the one-asset
-    # path and coefficients (a single asset is the one-asset basket, priced
-    # by basket_paths and logexp_coefficients), the one-vector reflection
+    # drops a per-layer metric.  Five hooks name deleted code: the per-batch
+    # pass (each chunk prices every batch), the one-asset path and
+    # coefficients (a single asset is the one-asset basket, priced by
+    # basket_paths and logexp_coefficients), the one-vector reflection
     # (every regression chain goes through regression_chain) and the
     # adaptive Simpson rule, which pricing never called.
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -717,6 +783,7 @@ def test_benchmark_trace_hooks_resolve():
     tracer.install(harness)
     try:
         assert tracer.missing == [
+            "qmcpricer.harness._run_batch",
             "qmcpricer.harness.gbm_path",
             "qmcpricer.harness.asian_coefficients",
             "qmcpricer.harness.regression_transform",

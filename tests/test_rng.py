@@ -209,9 +209,13 @@ def test_midpoint_map_extremes():
 
 def test_shifted_normals_match_reference_formula():
     p = rng.sobol_block(128, 5, start=3)
-    s = rng.shift_vector(4, 1, 5)
-    u = (((p.astype(np.uint64) + s) % 2**32).astype(np.float64) + 0.5) / 2**32
-    np.testing.assert_array_equal(rng.shifted_normals(p, s), rng.inv_normal_cdf(u))
+    out = np.empty(p.shape)  # one buffer, reused for every shift
+    for batch in (1, 2):
+        s = rng.shift_vector(4, batch, 5)
+        u = (((p.astype(np.uint64) + s) % 2**32).astype(np.float64) + 0.5) / 2**32
+        np.testing.assert_array_equal(rng.shifted_normals(p, s), rng.inv_normal_cdf(u))
+        assert rng.shifted_normals(p, s, out=out) is out
+        np.testing.assert_array_equal(out, rng.inv_normal_cdf(u))
     # the inputs are not modified
     np.testing.assert_array_equal(p, rng.sobol_block(128, 5, start=3))
 

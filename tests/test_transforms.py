@@ -312,12 +312,16 @@ def test_pca_factors_against_eigh():
 def test_pca_factor_table_against_direct_sine():
     # the table lookup against sin(j(2k-1) pi / (2n+1)) taken directly; the
     # direct form's large arguments carry the rounding, up to 4.2e-16 in the
-    # factor at n = 2000
-    for n in (1, 2, 250, 2000):
+    # factor at n = 2000.  The row-blocked lookup equals one lookup of the
+    # whole index array bitwise, with a partial last block at n = 2000.
+    for n in (1, 2, 7, 250, 2000):
         k = np.arange(1, n + 1)
         lam, vecs = tr.pca_factors(n, 1.0)
         direct = (2.0 / math.sqrt(2 * n + 1)) * np.sin(np.outer(k, 2 * k - 1) * np.pi / (2 * n + 1))
         assert np.abs((vecs - direct) * np.sqrt(lam)).max() <= 1e-15, n
+        period = 2 * (2 * n + 1)
+        table = (2.0 / math.sqrt(2 * n + 1)) * np.sin(np.arange(period) * np.pi / (2 * n + 1))
+        assert np.array_equal(vecs, table[np.outer(k, 2 * k - 1) % period]), n
         assert np.array_equal(tr.PcaConstruction(n, 1.0)._A, vecs * np.sqrt(lam))
 
 
