@@ -90,7 +90,7 @@ def _endpoint_moment(u: float, nu: float, t: float) -> float:
     return float(_upper_tail_mean(u, mu, st)) + reflected
 
 
-def _interior_moments(u: float, nu: float, t: np.ndarray, T: float) -> np.ndarray:
+def _interior_moments(u: float, nu: float, t: np.ndarray, T: float, map=map) -> np.ndarray:
     """E(1_{M^nu_T >= u} B^nu_t) for u > 0 and every entry 0 < t < T of t.
 
     With B = B^nu_t ~ N(nu t, t) and g(x) = P(M^nu_{T-t} >= u - x), the
@@ -106,7 +106,10 @@ def _interior_moments(u: float, nu: float, t: np.ndarray, T: float) -> np.ndarra
         integral_0^inf (u - y) p_t(u - y) [g_y + (1 - g_y) e^{-2 u y / t}] dy
 
     with g_y = P(M^nu_{T-t} >= y) and p_t the N(nu t, t) density.  It is
-    evaluated by Gauss-Legendre on the panels described at _GL_NODES.
+    evaluated by Gauss-Legendre on the panels described at _GL_NODES, in
+    blocks of times of at most _CHUNK_NODES nodes.  ``map`` runs the
+    blocks; each writes only its own entries, so any ordered map, such as
+    a thread pool's, gives the same bits as the builtin one.
     """
     x, w = np.polynomial.legendre.leggauss(_GL_NODES)
     unit = np.linspace(0.0, 1.0, _DENSITY_PANELS + 1)
@@ -114,7 +117,8 @@ def _interior_moments(u: float, nu: float, t: np.ndarray, T: float) -> np.ndarra
     panels = unit.size + grades.size - 1
     rows = max(1, _CHUNK_NODES // (panels * _GL_NODES))
     out = np.empty(t.size)
-    for start in range(0, t.size, rows):
+
+    def block(start: int) -> None:
         tc = t[start : start + rows, None]
         st = np.sqrt(tc)
         tau = T - tc
@@ -136,6 +140,8 @@ def _interior_moments(u: float, nu: float, t: np.ndarray, T: float) -> np.ndarra
         out[start : start + rows] = _upper_tail_mean(u, nu * tc[:, 0], st[:, 0]) + np.einsum(
             "ij,ij->i", vals, wy
         )
+
+    list(map(block, range(0, t.size, rows)))
     return out
 
 
@@ -174,7 +180,7 @@ class BarrierCoefficients:
 
 
 def barrier_coefficients(
-    S0: float, r: float, sigma: float, T: float, n: int, barrier: float
+    S0: float, r: float, sigma: float, T: float, n: int, barrier: float, map=map
 ) -> BarrierCoefficients:
     """Coefficients a_i = E(h(X) X_i) for h = 1_{max_k S_k >= barrier}.
 
@@ -189,7 +195,11 @@ def barrier_coefficients(
     a_i = (beta_i - beta_{i-1}) / sqrt(T/n) - nu sqrt(T/n) gamma.
 
     beta_n is closed-form; beta_1 .. beta_{n-1} come from one vectorised
-    Gauss-Legendre pass over all n - 1 interior times.  A barrier at or
+    Gauss-Legendre pass over all n - 1 interior times, in blocks of times
+    that ``map`` runs.  The harness passes its chunk pool's ordered map,
+    which runs the blocks on the worker threads under the caller's numpy
+    error state; a, beta and gamma are bit-identical to the builtin map's,
+    the default.  A barrier at or
     below spot (u_tilde <= 0) makes the continuous-time indicator constant:
     a = 0 and gamma = 1.
     """
@@ -207,7 +217,7 @@ def barrier_coefficients(
             a=np.zeros(n), beta=beta, gamma=1.0, nu=nu, u_tilde=u_tilde
         )
     beta = np.empty(n)
-    beta[:-1] = _interior_moments(u_tilde, nu, steps[:-1] * dt, T)
+    beta[:-1] = _interior_moments(u_tilde, nu, steps[:-1] * dt, T, map)
     beta[-1] = _endpoint_moment(u_tilde, nu, T)
     gamma = prob_max_exceeds(u_tilde, nu, T)
     a = np.diff(np.concatenate([[0.0], beta])) / math.sqrt(dt) - nu * math.sqrt(dt) * gamma

@@ -13,6 +13,12 @@ not grow with N.  While a pool of more than one thread runs, OpenBLAS is
 held at one thread for the whole process, so PCA's per-chunk products do
 not start BLAS threads that compete with the chunk threads.
 
+Set-up runs on the same pool: the barrier quadrature's blocks of time
+steps and the PCA factor's blocks of rows go through the pool's ordered
+map (``_pool_map``), each block under the caller's numpy error state and
+writing only its own rows, so the constructions are bit-identical for any
+thread count.  A set-up of one block runs on the calling thread.
+
 Estimates are deterministic for a given configuration and seed.  Wall
 times in the raw rows are measurements and naturally vary from run to
 run; the summary schema carries no timing column and is byte-stable.
@@ -192,8 +198,9 @@ class ExperimentConfig:
             raise ValueError(f"lt_columns must be nonnegative, got {self.lt_columns}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
+        row = _PAYOFF_TABLE[self.payoff]
         positive = ()
-        if self.payoff in ("digital-barrier", "asian-barrier"):
+        if row.barrier:
             if self.barrier is None:
                 raise ValueError(f"payoff {self.payoff!r} requires a barrier level")
             positive = ("barrier", "sigma")  # the barrier moments need both
@@ -204,12 +211,12 @@ class ExperimentConfig:
         for name in ("s0", "maturity"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.payoff == "basket" and self.assets < 1:
+        if row.basket and self.assets < 1:
             raise ValueError("basket needs at least 1 asset")
         # the basket takes its vols from sigma_min and sigma_max, not sigma
-        if self.payoff != "basket" and self.sigma < 0.0:
+        if not row.basket and self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")
-        dim = _PAYOFF_TABLE[self.payoff].dim(self)  # a market's correlation is O(assets^2)
+        dim = row.dim(self)  # a market's correlation is O(assets^2)
         if dim > rng.max_dimension():
             raise ValueError(
                 f"path dimension {dim} exceeds the Sobol table's {rng.max_dimension()} dimensions"
@@ -260,68 +267,79 @@ def _basket_cov(cfg: ExperimentConfig) -> BasketCovSpec:
     return BasketCovSpec(m=cfg.assets, n=cfg.n, T=cfg.maturity, vols=vols, corr=corr)
 
 
+@dataclass(frozen=True)
+class _PayoffRow:
+    reduction: Callable  # (S, strike, barrier) -> undiscounted payoff of (..., m, n) prices
+    providers: tuple  # (cfg, map) -> coefficient vector of each smooth part, in chain order
+    lt_spec: Callable | None  # cfg -> log-exp spec for LT; None refuses the method
+    barrier: bool = False  # needs a positive barrier level and sigma
+    basket: bool = False  # assets with vols sigma_min..sigma_max; else one asset of vol sigma
+
+    def market(self, cfg: ExperimentConfig) -> BasketCovSpec:
+        """The payoff's market; a single asset is the one-asset basket."""
+        return _basket_cov(cfg) if self.basket else _single_cov(cfg)
+
+    def dim(self, cfg: ExperimentConfig) -> int:
+        """The market's path dimension m n, without building it."""
+        return cfg.assets * cfg.n if self.basket else cfg.n
+
+
 # Coefficient providers and log-exp specs call the library through this
-# module's namespace, where the benchmark's trace hooks find them.
+# module's namespace, where the benchmark's trace hooks find them.  A
+# provider runs any set-up blocks it has through ``map`` (see _pool_map).
 def _average_spec(cfg: ExperimentConfig):
     """Log-exp spec of the average price over the payoff's assets and steps."""
     cov = _PAYOFF_TABLE[cfg.payoff].market(cfg)
     return basket_spec(cov, np.full(cov.m, cfg.s0), cfg.rate)
 
 
-def _average_a(cfg: ExperimentConfig) -> np.ndarray:
-    return logexp_coefficients(_average_spec(cfg)).a
+def _average_a(cfg: ExperimentConfig, map=map) -> np.ndarray:
+    return logexp_coefficients(_average_spec(cfg)).a  # closed form, no blocks
 
 
-def _barrier_a(cfg: ExperimentConfig) -> np.ndarray:
-    return barrier_coefficients(cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n, cfg.barrier).a
-
-
-@dataclass(frozen=True)
-class _PayoffRow:
-    market: Callable  # cfg -> BasketCovSpec; a single asset is the one-asset basket
-    dim: Callable  # cfg -> the market's path dimension m n, without building it
-    reduction: Callable  # (S, strike, barrier) -> undiscounted payoff of (..., m, n) prices
-    providers: tuple  # cfg -> coefficient vector of each smooth part, in chain order
-    lt_spec: Callable | None  # cfg -> log-exp spec for LT; None refuses the method
-
-
-def _single_dim(cfg: ExperimentConfig) -> int:
-    return cfg.n
-
-
-def _basket_dim(cfg: ExperimentConfig) -> int:
-    return cfg.assets * cfg.n
+def _barrier_a(cfg: ExperimentConfig, map=map) -> np.ndarray:
+    return barrier_coefficients(
+        cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n, cfg.barrier, map
+    ).a
 
 
 _PAYOFF_TABLE = {
-    "asian": _PayoffRow(_single_cov, _single_dim, average_call, (_average_a,), _average_spec),
-    "basket": _PayoffRow(_basket_cov, _basket_dim, average_call, (_average_a,), _average_spec),
-    "digital-barrier": _PayoffRow(_single_cov, _single_dim, barrier_hit, (_barrier_a,), None),
-    "asian-barrier": _PayoffRow(
-        _single_cov, _single_dim, barrier_average_call, (_barrier_a, _average_a), None
-    ),
+    "asian": _PayoffRow(average_call, (_average_a,), _average_spec),
+    "basket": _PayoffRow(average_call, (_average_a,), _average_spec, basket=True),
+    "digital-barrier": _PayoffRow(barrier_hit, (_barrier_a,), None, barrier=True),
+    "asian-barrier": _PayoffRow(barrier_average_call, (_barrier_a, _average_a), None, barrier=True),
 }
 
 
-def _regression(cfg: ExperimentConfig, row: _PayoffRow, dim: int):
-    return regression_chain([p(cfg) for p in row.providers], dim)
+def _regression(cfg: ExperimentConfig, row: _PayoffRow, dim: int, map):
+    return regression_chain([p(cfg, map) for p in row.providers], dim)
 
 
-def _lt(cfg: ExperimentConfig, row: _PayoffRow, dim: int):
+def _lt(cfg: ExperimentConfig, row: _PayoffRow, dim: int, map):
     if row.lt_spec is None:
         raise UnsupportedCombinationError(f"method 'lt' unsupported for payoff {cfg.payoff!r}")
     return lt_transform(row.lt_spec(cfg), min(cfg.lt_columns, dim)).chain
 
 
-# method -> (time factor, asset factor K1 with K1 K1^T = R,
-# builder (cfg, payoff row, dim) -> the TransformChain in front, or None).
-# A chain is fused into the construction (``ChainConstruction``).
+def _forward(n: int, T: float, map):
+    return ForwardConstruction(n, T)
+
+
+def _bridge(n: int, T: float, map):
+    return BrownianBridgeConstruction(n, T)
+
+
+# method -> (time factor (n, T, map), asset factor K1 with K1 K1^T = R,
+# builder (cfg, payoff row, dim, map) -> the TransformChain in front, or
+# None).  A chain is fused into the construction (``ChainConstruction``).
+# ``map`` runs set-up blocks: the PCA factor's rows and the barrier
+# quadrature's times.
 _METHOD_TABLE = {
-    "forward": (ForwardConstruction, cholesky_psd, None),
-    "bb": (BrownianBridgeConstruction, cholesky_psd, None),
+    "forward": (_forward, cholesky_psd, None),
+    "bb": (_bridge, cholesky_psd, None),
     "pca": (PcaConstruction, eigh_factor, None),
-    "regression": (ForwardConstruction, cholesky_psd, _regression),
-    "lt": (ForwardConstruction, cholesky_psd, _lt),
+    "regression": (_forward, cholesky_psd, _regression),
+    "lt": (_forward, cholesky_psd, _lt),
 }
 
 PAYOFFS = tuple(_PAYOFF_TABLE)
@@ -346,12 +364,14 @@ def regression_vector_for(cfg: ExperimentConfig) -> RegressionVector:
         return RegressionVector.from_coefficients(a)
 
 
-def _build_problem(cfg: ExperimentConfig) -> _Problem:
+def _build_problem(cfg: ExperimentConfig, map=map) -> _Problem:
     """Each method's construction: chain, then asset factor, then time factor.
 
-    The drift comes first, so an overflowing volatility raises
-    FloatingPointError before anything else is built from it.  Any other
-    overflow gives inf or NaN silently, and the CLI refuses it (exit 4).
+    ``map`` runs the set-up blocks (``_pool_map``); the constructions are
+    bit-identical for any ordered map.  The drift comes first, so an
+    overflowing volatility raises FloatingPointError before anything else
+    is built from it.  Any other overflow gives inf or NaN silently, and
+    the CLI refuses it (exit 4).
     """
     row = _PAYOFF_TABLE[cfg.payoff]
     cov = row.market(cfg)
@@ -368,10 +388,10 @@ def _build_problem(cfg: ExperimentConfig) -> _Problem:
     R = cov.R()
     for m in cfg.methods:
         time_factor, asset_factor, chain = _METHOD_TABLE[m]
-        construction = KroneckerConstruction(asset_factor(R), time_factor(cfg.n, cfg.maturity))
+        construction = KroneckerConstruction(asset_factor(R), time_factor(cfg.n, cfg.maturity, map))
         if chain is not None:
             with np.errstate(over="ignore", invalid="ignore"):
-                construction = ChainConstruction(chain(cfg, row, problem.dim), construction)
+                construction = ChainConstruction(chain(cfg, row, problem.dim, map), construction)
         problem.constructions[m] = construction
     return problem
 
@@ -400,6 +420,28 @@ def _map_chunks(pool, workers: int, chunk: Callable, count: int, rows: int):
         yield queued.popleft().result()
 
 
+def _pool_map(pool, workers: int):
+    """The ordered map that set-up runs its blocks through: ``pool``'s map,
+    each block under the caller's numpy error state, which is per thread.
+    One worker or one block uses the calling thread and starts no thread."""
+    if workers == 1:
+        return map
+
+    def ordered(fn, items):
+        items = list(items)
+        if len(items) == 1:
+            return [fn(items[0])]
+        err = np.geterr()
+
+        def block(item):
+            with np.errstate(**err):
+                return fn(item)
+
+        return pool.map(block, items)
+
+    return ordered
+
+
 def _evaluate(pool, workers: int, problem: _Problem, method: str, X: np.ndarray) -> np.ndarray:
     """Payoffs of the rows of normals ``X`` under ``method``, in row chunks on
     ``pool``.  Chunk bounds depend on the dimension alone, so the payoffs do
@@ -414,32 +456,33 @@ def _evaluate(pool, workers: int, problem: _Problem, method: str, X: np.ndarray)
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[RawRow], list[BatchStats]]:
     """Batched randomized-QMC estimates for every (method, N) in the config:
-    the chunks' payoff sums over points 0..N-1, added in chunk order, over N."""
-    problem = _build_problem(cfg)
-    dim, max_n, rows = problem.dim, max(cfg.paths), _chunk_rows(problem.dim)
-    shifts = [rng.shift_vector(cfg.seed, b, dim) for b in range(cfg.batches)]
+    the chunks' payoff sums over points 0..N-1, added in chunk order, over N.
+    The set-up's blocks run on the same pool as the chunks."""
     methods, paths = cfg.methods, cfg.paths
     sums = np.zeros((len(methods), cfg.batches, len(paths)))
     seconds = np.zeros((len(methods), cfg.batches))
-
-    def chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
-        points = rng.sobol_block(min(rows, max_n - lo), dim, start=lo)
-        X = np.empty(points.shape)  # every batch's normals, in turn
-        part, part_s = np.zeros_like(sums), np.zeros_like(seconds)
-        for b, shift in enumerate(shifts):
-            rng.shifted_normals(points, shift, out=X)
-            for i, m in enumerate(methods):
-                t0 = time.perf_counter()
-                v = problem.evaluate(problem.constructions[m], X)
-                part_s[i, b] = time.perf_counter() - t0
-                # chunk sizes and N are powers of two, so N - lo > 0 takes
-                # the whole chunk or, when N is below a chunk, a prefix
-                for j, N in enumerate(paths):
-                    if lo < N:
-                        part[i, b, j] = v[: N - lo].sum()
-        return part, part_s
-
     with _chunk_pool(cfg.workers) as pool:
+        problem = _build_problem(cfg, _pool_map(pool, cfg.workers))
+        dim, max_n, rows = problem.dim, max(paths), _chunk_rows(problem.dim)
+        shifts = [rng.shift_vector(cfg.seed, b, dim) for b in range(cfg.batches)]
+
+        def chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
+            points = rng.sobol_block(min(rows, max_n - lo), dim, start=lo)
+            X = np.empty(points.shape)  # every batch's normals, in turn
+            part, part_s = np.zeros_like(sums), np.zeros_like(seconds)
+            for b, shift in enumerate(shifts):
+                rng.shifted_normals(points, shift, out=X)
+                for i, m in enumerate(methods):
+                    t0 = time.perf_counter()
+                    v = problem.evaluate(problem.constructions[m], X)
+                    part_s[i, b] = time.perf_counter() - t0
+                    # chunk sizes and N are powers of two, so N - lo > 0 takes
+                    # the whole chunk or, when N is below a chunk, a prefix
+                    for j, N in enumerate(paths):
+                        if lo < N:
+                            part[i, b, j] = v[: N - lo].sum()
+            return part, part_s
+
         for part, part_s in _map_chunks(pool, cfg.workers, chunk, max_n, rows):
             sums += part
             seconds += part_s
@@ -508,7 +551,9 @@ def timing_report(
     with _chunk_pool(cfg.workers) as pool:
         for method in cfg.methods:
             t0 = time.perf_counter()
-            problems[method] = _build_problem(replace(cfg, methods=[method]))
+            problems[method] = _build_problem(
+                replace(cfg, methods=[method]), _pool_map(pool, cfg.workers)
+            )
             setup_ms[method] = (time.perf_counter() - t0) * 1000.0
         for _ in range(repeats):
             for method in cfg.methods:

@@ -13,9 +13,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qmcpricer import brownian_max as bm
 from qmcpricer import cli, harness, rng
 from qmcpricer.regression import asian_spec, logexp_coefficients
-from qmcpricer.transforms import construction_matrix
+from qmcpricer.transforms import PcaConstruction, construction_matrix
 
 
 def _cfg(**kw):
@@ -178,12 +179,14 @@ def test_parallel_matches_sequential():
 def test_estimates_independent_of_worker_threads():
     # N below one chunk, where pca's gemm runs with BLAS capped (workers 2
     # and 3) and uncapped (workers 1); basket at dim 2500, whose chunks are
-    # 512 rows, not the 2048 of n = 250; and the two-reflection asian-barrier
-    # chain
+    # 512 rows, not the 2048 of n = 250; the two-reflection asian-barrier
+    # chain; and n = 600, whose barrier quadrature (3 blocks) and PCA factor
+    # (6 blocks) are built on the chunk pool
     cases = [
         _cfg(methods=["forward", "pca", "regression", "lt"], n=250, paths=[512, 1024], batches=2),
         _cfg(payoff="basket", methods=["forward", "pca", "regression"], n=250, paths=[2048], assets=10),
         _cfg(payoff="asian-barrier", methods=["bb", "regression"], n=64, paths=[2**14], barrier=110.0),
+        _cfg(payoff="digital-barrier", methods=["pca", "regression"], n=600, paths=[1024], barrier=110.0),
     ]
     assert harness._chunk_rows(250) == 2048 and harness._chunk_rows(2500) == 512
     assert harness._chunk_rows(64) == 8192 and harness._chunk_rows(2000) == 512
@@ -288,6 +291,115 @@ def test_blas_cap_count_under_many_overlapping_runs(blas_threads):
     finally:
         sys.setswitchinterval(interval)
     assert blas_threads() == 2 and harness._blas_cap_depth == 0
+
+
+# --- set-up blocks on the chunk pool ---------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 285, 286, 2000])
+def test_setup_blocks_bit_identical_on_the_chunk_pool(n):
+    # 284 quadrature times and 2^16 PCA table entries make one block, so
+    # n = 285 and 286 sit on the quadrature's first block edge, 286 and 2000
+    # have several blocks of both, and 1 and 2 have a single one or none
+    serial = bm.barrier_coefficients(100.0, 0.04, 0.2, 1.0, n, 110.0)
+    A = PcaConstruction(n, 1.0)._A
+    for workers in (2, 3):
+        with harness._chunk_pool(workers) as pool:
+            pool_map = harness._pool_map(pool, workers)
+            pooled = bm.barrier_coefficients(100.0, 0.04, 0.2, 1.0, n, 110.0, pool_map)
+            assert np.array_equal(PcaConstruction(n, 1.0, pool_map)._A, A), (n, workers)
+        assert np.array_equal(pooled.a, serial.a), (n, workers)
+        assert np.array_equal(pooled.beta, serial.beta), (n, workers)
+        assert pooled.gamma == serial.gamma, (n, workers)
+
+
+def test_setup_blocks_run_under_the_callers_error_state():
+    # numpy's error state is per thread: a block on a pool thread must see
+    # the caller's, not numpy's defaults
+    with harness._chunk_pool(2) as pool:
+        with np.errstate(over="ignore", invalid="raise", divide="raise"):
+            want = np.geterr()
+            seen = list(
+                harness._pool_map(pool, 2)(
+                    lambda _: (np.geterr(), threading.current_thread()), range(8)
+                )
+            )
+    assert all(err == want for err, _ in seen), seen
+    assert any(thread is not threading.main_thread() for _, thread in seen)
+
+
+def test_cli_extreme_barrier_regression_same_for_one_and_two_workers():
+    # the hit is so rare (gamma ~ 1e-83) that the quadrature's terms under-
+    # and overflow; with warnings as errors, one worker and two (3 quadrature
+    # blocks on the pool) must print the same lines and exit alike
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    argv = [
+        sys.executable, "-W", "error::RuntimeWarning", "-m", "qmcpricer", "price",
+        "--payoff", "digital-barrier", "--barrier", "200", "--sigma", "0.01", "--rate", "0.5",
+        "--method", "regression", "--n", "600", "--paths", "1024", "--batches", "2",
+    ]
+    runs = [
+        subprocess.run(
+            argv + ["--workers", str(workers)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        for workers in (1, 2)
+    ]
+    one, two = [(p.returncode, p.stdout, p.stderr) for p in runs]
+    assert one == two, (one, two)
+    assert one[2].count("\n") <= 1 and "Warning" not in one[2], one
+
+
+def test_one_block_setup_starts_no_thread(monkeypatch):
+    # criterion 8's asian n = 250 methods: at N = 1 there is one chunk, and
+    # every set-up is one block or none, so all of it runs on the caller's
+    # thread and its times stay as they were
+    cfg = _cfg(methods=["forward", "regression", "pca", "lt"], n=250, paths=[1], workers=2)
+    started = []
+    real = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or real(self))
+    harness.run_experiment(cfg)
+    harness.timing_report(cfg, repeats=1)
+    assert started == []
+    harness.run_experiment(
+        replace(cfg, payoff="digital-barrier", methods=["regression", "pca"], n=600, barrier=110.0)
+    )
+    assert started  # three quadrature blocks and six PCA blocks go to the pool
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(harness.UnsupportedCombinationError, 3), (FloatingPointError, 4)],
+)
+@pytest.mark.parametrize(
+    "method, owner, attr",
+    [("regression", bm, "_hit_prob"), ("pca", np, "take")],
+)
+def test_setup_block_errors_reach_the_cli_with_their_type(
+    blas_threads, monkeypatch, capsys, error, code, method, owner, attr
+):
+    # a block raising on a pool thread: the quadrature's hitting probability
+    # or the PCA table's lookup
+    real, raised_on = getattr(owner, attr), []
+
+    def fail_off_main(*args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            return real(*args, **kwargs)
+        raised_on.append(threading.current_thread())
+        raise error("set-up block failed")
+
+    monkeypatch.setattr(owner, attr, fail_off_main)
+    argv = [
+        "price", "--payoff", "digital-barrier", "--barrier", "110", "--n", "600",
+        "--paths", "64", "--batches", "2", "--workers", "2", "--method", method,
+    ]
+    assert cli.main(argv) == code
+    assert raised_on
+    assert "set-up block failed" in capsys.readouterr().err
+    assert blas_threads() == 2
 
 
 def test_peak_memory_flat_in_paths():
