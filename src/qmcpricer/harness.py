@@ -14,10 +14,11 @@ held at one thread for the whole process, so PCA's per-chunk products do
 not start BLAS threads that compete with the chunk threads.
 
 Set-up runs on the same pool: the barrier quadrature's blocks of time
-steps and the PCA factor's blocks of rows go through the pool's ordered
-map (``_pool_map``), each block under the caller's numpy error state and
-writing only its own rows, so the constructions are bit-identical for any
-thread count.  A set-up of one block runs on the calling thread.
+steps and the PCA factor's blocks of rows go through ``_pool_map``, which
+runs them in order as the chunks run (``_map_chunks``), each block under
+the caller's numpy error state and writing only its own rows, so the
+constructions are bit-identical for any thread count.  A set-up of one
+block runs on the calling thread.
 
 Estimates are deterministic for a given configuration and seed.  Wall
 times in the raw rows are measurements and naturally vary from run to
@@ -36,7 +37,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -402,14 +403,13 @@ def _chunk_rows(dim: int) -> int:
     return max(_MIN_CHUNK_ROWS, 1 << max(0, (_CHUNK_ELEMENTS // dim).bit_length() - 1))
 
 
-def _map_chunks(pool, workers: int, chunk: Callable, count: int, rows: int):
-    """``chunk(lo)`` for the start lo of every ``rows``-row chunk of points
-    0..count-1, in chunk order, on ``pool``.  At most two chunks per worker
-    wait in its queue, so the queue does not grow with ``count``; a single
-    chunk runs on the calling thread, with no worker thread to start."""
-    starts = range(0, count, rows)
+def _map_chunks(pool, workers: int, chunk: Callable, starts: Sequence):
+    """``chunk(lo)`` for every lo of ``starts``, in order, on ``pool``.  At
+    most two chunks per worker wait in its queue, so the queue does not grow
+    with the chunk count; a single chunk runs on the calling thread, with no
+    worker thread to start."""
     if len(starts) == 1:
-        yield chunk(0)
+        yield chunk(starts[0])
         return
     queued = deque()
     for lo in starts:
@@ -421,23 +421,18 @@ def _map_chunks(pool, workers: int, chunk: Callable, count: int, rows: int):
 
 
 def _pool_map(pool, workers: int):
-    """The ordered map that set-up runs its blocks through: ``pool``'s map,
-    each block under the caller's numpy error state, which is per thread.
-    One worker or one block uses the calling thread and starts no thread."""
-    if workers == 1:
-        return map
+    """The ordered map that set-up runs its blocks through: ``_map_chunks``
+    over a sequence of block starts, each block under the caller's numpy
+    error state, which is per thread."""
 
-    def ordered(fn, items):
-        items = list(items)
-        if len(items) == 1:
-            return [fn(items[0])]
+    def ordered(fn, starts):
         err = np.geterr()
 
-        def block(item):
+        def block(lo):
             with np.errstate(**err):
-                return fn(item)
+                return fn(lo)
 
-        return pool.map(block, items)
+        return list(_map_chunks(pool, workers, block, starts))
 
     return ordered
 
@@ -451,7 +446,7 @@ def _evaluate(pool, workers: int, problem: _Problem, method: str, X: np.ndarray)
     def chunk(lo: int) -> np.ndarray:
         return problem.evaluate(problem.constructions[method], X[lo : lo + rows])
 
-    return np.concatenate(list(_map_chunks(pool, workers, chunk, len(X), rows)))
+    return np.concatenate(list(_map_chunks(pool, workers, chunk, range(0, len(X), rows))))
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[RawRow], list[BatchStats]]:
@@ -483,7 +478,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[RawRow], list[BatchStats
                             part[i, b, j] = v[: N - lo].sum()
             return part, part_s
 
-        for part, part_s in _map_chunks(pool, cfg.workers, chunk, max_n, rows):
+        for part, part_s in _map_chunks(pool, cfg.workers, chunk, range(0, max_n, rows)):
             sums += part
             seconds += part_s
 

@@ -32,7 +32,7 @@ _UPDATE_BLOCK = 2**18
 # to 2^19 and 0.58-0.74 s with 2^15, as the per-level calls grow with the
 # block count.
 _BRIDGE_BLOCK = 2**17
-# Entries per row block of the PCA factor's table indices (256 KiB at 32 bits).
+# Entries per row block of the PCA factor's int64 table indices (512 KiB).
 _PCA_BLOCK = 2**16
 
 
@@ -308,7 +308,7 @@ class BrownianBridgeConstruction:
         return out.reshape(x.shape)
 
 
-def pca_factors(n: int, T: float, scaled: bool = False, map=map) -> tuple[np.ndarray, np.ndarray]:
+def pca_factors(n: int, T: float, map=map) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenpairs of Sigma_jk = (T/n) min(j,k).
 
     lambda_k = (T/n) / (4 sin^2((2k-1) pi / (2(2n+1)))) with eigenvectors
@@ -316,9 +316,7 @@ def pca_factors(n: int, T: float, scaled: bool = False, map=map) -> tuple[np.nda
     decreasing order.  The sine has period 2(2n+1) in the integer j(2k-1),
     so the n^2 entries are looked up in a table of one period.  That avoids
     the large arguments whose rounding put the direct form up to 3.6e-14
-    off at n = 2000; the table is within 1e-16 of the exact sines.  With
-    ``scaled``, column k comes multiplied by sqrt(lambda_k), giving PCA's
-    factor V diag(sqrt(lambda)).
+    off at n = 2000; the table is within 1e-16 of the exact sines.
 
     The lookup runs in row blocks of at most ``_PCA_BLOCK`` entries into
     the one (n, n) result, so no n^2 index array is built.  ``map`` runs
@@ -330,9 +328,6 @@ def pca_factors(n: int, T: float, scaled: bool = False, map=map) -> tuple[np.nda
     lam = (T / n) / (4.0 * np.sin((2 * k - 1) * np.pi / (2 * (2 * n + 1))) ** 2)
     period = 2 * (2 * n + 1)
     table = (2.0 / math.sqrt(2 * n + 1)) * np.sin(np.arange(period) * np.pi / (2 * n + 1))
-    scale = np.sqrt(lam) if scaled else None
-    # j (2k - 1) < 2 n^2: 32-bit phases, where they fit, halve the index traffic
-    k = k.astype(np.int32 if 2 * n * n < 2**31 else np.int64)
     odd = 2 * k - 1
     vecs = np.empty((n, n))
     rows = max(1, _PCA_BLOCK // n)
@@ -340,12 +335,9 @@ def pca_factors(n: int, T: float, scaled: bool = False, map=map) -> tuple[np.nda
     def block(lo: int) -> None:
         phase = np.outer(k[lo : lo + rows], odd)
         phase %= period
-        out = vecs[lo : lo + rows]
         # the phases are in range; the default mode="raise" would take
         # into a scratch array and copy that to out
-        np.take(table, phase, out=out, mode="clip")
-        if scale is not None:
-            out *= scale
+        np.take(table, phase, out=vecs[lo : lo + rows], mode="clip")
 
     list(map(block, range(0, n, rows)))
     return lam, vecs
@@ -359,7 +351,8 @@ class PcaConstruction:
 
     def __init__(self, n: int, T: float, map=map):
         self.n = n
-        _, self._A = pca_factors(n, T, scaled=True, map=map)
+        lam, self._A = pca_factors(n, T, map)
+        self._A *= np.sqrt(lam)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

@@ -300,10 +300,11 @@ def test_blas_cap_count_under_many_overlapping_runs(blas_threads):
 def test_setup_blocks_bit_identical_on_the_chunk_pool(n):
     # 284 quadrature times and 2^16 PCA table entries make one block, so
     # n = 285 and 286 sit on the quadrature's first block edge, 286 and 2000
-    # have several blocks of both, and 1 and 2 have a single one or none
+    # have several blocks of both, and 1 and 2 have a single one or none;
+    # one worker runs several blocks in order on its one pool thread
     serial = bm.barrier_coefficients(100.0, 0.04, 0.2, 1.0, n, 110.0)
     A = PcaConstruction(n, 1.0)._A
-    for workers in (2, 3):
+    for workers in (1, 2, 3):
         with harness._chunk_pool(workers) as pool:
             pool_map = harness._pool_map(pool, workers)
             pooled = bm.barrier_coefficients(100.0, 0.04, 0.2, 1.0, n, 110.0, pool_map)
