@@ -11,7 +11,10 @@ sums over each prefix N.  The sums are added in chunk order, so the
 estimates do not depend on the thread count or schedule, and memory does
 not grow with N.  While a pool of more than one thread runs, OpenBLAS is
 held at one thread for the whole process, so PCA's per-chunk products do
-not start BLAS threads that compete with the chunk threads.
+not start BLAS threads that compete with the chunk threads.  The first
+pool of a process raises glibc's malloc thresholds
+(``_keep_freed_memory``), so the chunks' freed arrays are reused from the
+heap instead of being page-faulted afresh.
 
 Set-up runs on the same pool: the barrier quadrature's blocks of time
 steps and the PCA factor's blocks of rows go through ``_pool_map``, which
@@ -76,12 +79,11 @@ SUMMARY_HEADER = "payoff,method,n,N,mean,stddev,batches"
 # Entries of one chunk's (rows, dim) float64 normals: 4 MiB, so a chunk's
 # normals, paths and prices stay within a core's share of the cache.
 _CHUNK_ELEMENTS = 2**19
-# Fewest rows per chunk, whatever the dimension.  It was set for PCA's dense
-# (rows, n) by (n, n) gemm while each chunk's gemm started BLAS threads of
-# its own.  With BLAS at one thread under the chunk pool, 256 and 512 rows
-# tie on digital-2000 (n = 2000, a 2-core Xeon with OpenBLAS, medians of 18
-# operations each, every estimate bit-identical): pca 1.222 against 1.227 s,
-# bb 0.548 against 0.554 s.
+# Fewest rows per chunk, whatever the dimension: the chunk size at n = 2000
+# and for a 10 x 250 basket.  256 and 512 rows tie on digital-2000 (a 2-core
+# Xeon with OpenBLAS): bb 0.548 against 0.554 s an operation, medians of 18,
+# and pca's FFT route (``PcaConstruction``) 19.8-20.6 against 16.1-20.4 ms
+# per 512 rows.
 _MIN_CHUNK_ROWS = 512
 
 
@@ -114,6 +116,30 @@ def _openblas_threads():
     return None
 
 
+# glibc's malloc thresholds, raised once per process by the first chunk
+# pool: blocks up to 32 MiB (its largest mmap threshold) come from the heap,
+# whose free top is kept up to 64 MiB.  At glibc's defaults the chunks'
+# MiB-sized arrays went to mmap, or were trimmed off the heap after each
+# chunk, and were page-faulted afresh every time: an asian-250 process of
+# 5 rounds of its 5 methods took 345-456 thousand minor faults, 19.5
+# thousand at these values, which glibc's own rule also reaches once a
+# 32 MiB block is freed.
+_MMAP_THRESHOLD = 2**25
+_TRIM_THRESHOLD = 2**26
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Raise glibc malloc's mmap and trim thresholds (a no-op without glibc)."""
+    if os.name != "posix":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
+        mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+        mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+
+
 # OpenBLAS's thread count is one setting for the whole process, so pools
 # that overlap (nested, or on several caller threads) share one cap: the
 # first to enter saves the count and sets 1, the last to leave restores it.
@@ -130,6 +156,7 @@ def _chunk_pool(workers: int):
     chunk would only compete with the other chunks for it.
     """
     global _blas_cap_depth, _blas_saved_threads
+    _keep_freed_memory()
     blas = _openblas_threads() if workers > 1 else None
     if blas is not None:
         get, set_ = blas

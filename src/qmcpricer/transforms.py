@@ -34,6 +34,16 @@ _UPDATE_BLOCK = 2**18
 _BRIDGE_BLOCK = 2**17
 # Entries per row block of the PCA factor's int64 table indices (512 KiB).
 _PCA_BLOCK = 2**16
+# PcaConstruction's FFT route (see there): the fewest time steps it is
+# taken for, the largest prime factor of n it accepts, and the complex
+# entries of its scratch per block of row pairs (1 MiB).  Timed against
+# the gemm on one chunk (a 2-core Xeon, one BLAS thread) for n with 2n + 1
+# prime: with n's prime factors at most 23 it lost or tied below n = 300
+# and won at every n from 468 on, 12.0 against 69.1 ms at n = 2000; with a
+# larger one numpy's FFT slows down, and it still lost at n = 1238.
+_PCA_FFT_MIN_N = 450
+_PCA_FFT_MAX_FACTOR = 23
+_PCA_FFT_BLOCK = 2**16
 
 
 def _row_dots(X: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -308,6 +318,12 @@ class BrownianBridgeConstruction:
         return out.reshape(x.shape)
 
 
+def _pca_eigenvalues(n: int, T: float) -> np.ndarray:
+    """lambda_k = (T/n) / (4 sin^2((2k-1) pi / (2(2n+1)))), k = 1..n, decreasing."""
+    k = np.arange(1, n + 1)
+    return (T / n) / (4.0 * np.sin((2 * k - 1) * np.pi / (2 * (2 * n + 1))) ** 2)
+
+
 def pca_factors(n: int, T: float, map=map) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenpairs of Sigma_jk = (T/n) min(j,k).
 
@@ -319,44 +335,156 @@ def pca_factors(n: int, T: float, map=map) -> tuple[np.ndarray, np.ndarray]:
     off at n = 2000; the table is within 1e-16 of the exact sines.
 
     The lookup runs in row blocks of at most ``_PCA_BLOCK`` entries into
-    the one (n, n) result, so no n^2 index array is built.  ``map`` runs
-    the blocks, and each writes only its own rows.  The harness passes its
-    chunk pool's ordered map, which runs them on the worker threads; the
-    result is bit-identical to the builtin map's, the default.
+    the one (n, n) result, so no n^2 index array is built.  Row lo + 1 + i
+    of a block has the phases of row lo + 1 plus i(2k-1), both reduced
+    mod 2(2n+1); the second is one table for every block, so a block's
+    phases take an add and one conditional subtraction instead of a
+    remainder.  ``map`` runs the blocks, and each writes only its own rows.
+    The harness passes its chunk pool's ordered map, which runs them on
+    the worker threads; the result is bit-identical to the builtin map's,
+    the default.
     """
-    k = np.arange(1, n + 1)
-    lam = (T / n) / (4.0 * np.sin((2 * k - 1) * np.pi / (2 * (2 * n + 1))) ** 2)
     period = 2 * (2 * n + 1)
     table = (2.0 / math.sqrt(2 * n + 1)) * np.sin(np.arange(period) * np.pi / (2 * n + 1))
-    odd = 2 * k - 1
-    vecs = np.empty((n, n))
+    odd = np.arange(1, 2 * n, 2, dtype=np.uint64)
     rows = max(1, _PCA_BLOCK // n)
+    steps = np.outer(np.arange(min(rows, n), dtype=np.uint64), odd) % period
+    vecs = np.empty((n, n))
 
     def block(lo: int) -> None:
-        phase = np.outer(k[lo : lo + rows], odd)
-        phase %= period
+        phase = steps[: n - lo] + (lo + 1) * odd % period  # below 2 period
+        # unsigned, t - period wraps above t unless t >= period
+        np.minimum(phase, phase - period, out=phase)
         # the phases are in range; the default mode="raise" would take
         # into a scratch array and copy that to out
-        np.take(table, phase, out=vecs[lo : lo + rows], mode="clip")
+        np.take(table, phase.view(np.int64), out=vecs[lo : lo + rows], mode="clip")
 
     list(map(block, range(0, n, rows)))
-    return lam, vecs
+    return _pca_eigenvalues(n, T), vecs
+
+
+def _prime_factors(m: int) -> list[int]:
+    """The distinct prime factors of m >= 1, ascending, by trial division."""
+    factors, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            factors.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return factors + [m] if m > 1 else factors
 
 
 class PcaConstruction:
-    """Dense V D product with the closed-form eigendecomposition of Sigma.
+    """Paths A x with A = V diag(sqrt(lambda)), the closed-form eigenpairs
+    of ``pca_factors``.
 
-    ``map`` runs the factor's row blocks (``pca_factors``).
+    One of two routes computes A x, chosen from n alone:
+
+    * **FFT (Rader 1968).**  Taken when M = 2n + 1 is prime, n is at least
+      ``_PCA_FFT_MIN_N`` and n has no prime factor above
+      ``_PCA_FFT_MAX_FACTOR``.  It costs O(n log n) a row, and set-up
+      builds no (n, n) array.  As 2(n + 1) = 1 mod M,
+      sin(j(2k-1) pi / M) = (-1)^j sin(2 pi j r_k / M) with
+      r_k = (2k-1)(n+1) mod M.  A primitive root g of M has g^n = -1 mod
+      M, so j = sigma_j g^(d_j) and r_k = eps_k g^(-c_k) with signs sigma,
+      eps and exponents c, d in [0, n), each a permutation.  Then
+      sin(2 pi j r_k / M) = sigma_j eps_k s(d_j - c_k), with
+      s(e) = sin(2 pi g^e / M) and s(e - n) = -s(e): one negacyclic
+      convolution of length n.  It runs as a cyclic one of the sequences
+      twisted by w^c, w = e^(i pi / n), by FFT against the precomputed
+      spectrum of w^e s(e).  sqrt(lambda), 2 / sqrt(M), the input
+      permutation, eps and the twist fold into one gather with a complex
+      scale before the FFT; sigma, (-1)^j and the twist back into one
+      complex scale and one gather after it.  The convolution is linear
+      over the complex numbers and s is real, so two rows ride in one
+      complex FFT as its real and imaginary parts, pairs of rows 2i and
+      2i + 1 of each call, in blocks of ``_PCA_FFT_BLOCK`` complex entries
+      of reused scratch.  A row's rounding depends on its partner's, and
+      the harness's chunks do not depend on the thread count, so neither
+      do the estimates.  It agrees with the dense product to 3.5e-15
+      relative to the largest entry at n = 2000.
+    * **Dense.**  Otherwise the (n, n) factor is built by ``pca_factors``,
+      whose row blocks ``map`` runs, and each call is one gemm.
     """
 
     def __init__(self, n: int, T: float, map=map):
         self.n = n
-        lam, self._A = pca_factors(n, T, map)
-        self._A *= np.sqrt(lam)
+        self._A = None
+        if (
+            n >= _PCA_FFT_MIN_N
+            and _prime_factors(2 * n + 1) == [2 * n + 1]
+            and max(_prime_factors(n), default=1) <= _PCA_FFT_MAX_FACTOR
+        ):
+            self._fft_tables(T)
+        else:
+            lam, self._A = pca_factors(n, T, map)
+            self._A *= np.sqrt(lam)
+
+    def _fft_tables(self, T: float) -> None:
+        """The FFT route's scales, permutations, spectrum and block indices."""
+        n, M = self.n, 2 * self.n + 1
+        qs = _prime_factors(M - 1)
+        g = next(g for g in range(2, M) if all(pow(g, (M - 1) // q, M) != 1 for q in qs))
+        power = np.empty(2 * n, dtype=np.intp)  # g^e mod M
+        p = 1
+        for e in range(2 * n):
+            power[e], p = p, p * g % M
+        log = np.empty(M, dtype=np.intp)
+        log[power] = np.arange(2 * n)
+        k = np.arange(1, n + 1)
+        e = -log[(2 * k - 1) * (n + 1) % M] % (2 * n)  # r_k = g^(-e)
+        c, eps = e % n, np.where(e < n, 1.0, -1.0)
+        d = log[k]
+        self._dpos, sigma = d % n, np.where(d < n, 1.0, -1.0)
+        twist = np.exp(1j * np.pi * np.arange(n) / n)
+        self._perm = np.empty(n, dtype=np.intp)
+        self._perm[c] = k - 1
+        self._scale = np.empty(n, dtype=complex)
+        self._scale[c] = (2.0 / math.sqrt(M)) * np.sqrt(_pca_eigenvalues(n, T)) * eps
+        self._scale *= twist
+        # g^e as a residue in (-M/2, M/2), so sin's argument lies in (-pi, pi)
+        r = power[:n] - M * (power[:n] > n)
+        # 1/n here, as the inverse FFT runs with norm="forward"
+        self._spectrum = np.fft.fft(np.sin(2.0 * np.pi * r / M) * twist) / n
+        self._out_scale = np.empty(n, dtype=complex)
+        self._out_scale[self._dpos] = np.where(k % 2 == 0, 1.0, -1.0) * sigma
+        self._out_scale /= twist
+        # flat indices for a block of row pairs: from its rows into the
+        # interleaved (pair, c, real/imaginary) scratch, and back
+        self._pairs = max(1, _PCA_FFT_BLOCK // n)
+        pair = 2 * n * np.arange(self._pairs)[:, None, None]
+        self._gather = (pair + np.array([0, n])[:, None] + self._perm).transpose(0, 2, 1).ravel()
+        self._scatter = (pair + np.array([0, 1])[:, None] + 2 * self._dpos).ravel()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        return x @ self._A.T
+        if self._A is not None:
+            return x @ self._A.T
+        X = np.ascontiguousarray(x.reshape(-1, self.n))
+        N, n = X.shape
+        out = np.empty((N, n))
+        pairs = min(self._pairs, (N + 1) // 2)
+        buf = np.empty((pairs, n), dtype=complex)
+        flat = buf.view(np.float64).reshape(-1)
+        for i in range(0, N, 2 * pairs):
+            rows = min(2 * pairs, N - i)
+            full, b = rows // 2, buf[: (rows + 1) // 2]
+            size = 2 * n * full
+            # the indices are in range; mode="clip" takes straight into out
+            src = X[i : i + 2 * full].reshape(-1)
+            np.take(src, self._gather[:size], out=flat[:size], mode="clip")
+            if rows % 2:  # the last row rides alone, with a zero partner
+                b[-1] = X[i + rows - 1, self._perm]
+            b *= self._scale
+            np.fft.fft(b, axis=1, out=b)
+            b *= self._spectrum
+            np.fft.ifft(b, axis=1, out=b, norm="forward")
+            b *= self._out_scale
+            np.take(flat, self._scatter[:size], out=out[i : i + 2 * full].reshape(-1), mode="clip")
+            if rows % 2:
+                out[i + rows - 1] = b[-1, self._dpos].real
+        return out.reshape(x.shape)
 
 
 class ChainConstruction:

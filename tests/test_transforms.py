@@ -322,7 +322,43 @@ def test_pca_factor_table_against_direct_sine():
         period = 2 * (2 * n + 1)
         table = (2.0 / math.sqrt(2 * n + 1)) * np.sin(np.arange(period) * np.pi / (2 * n + 1))
         assert np.array_equal(vecs, table[np.outer(k, 2 * k - 1) % period]), n
-        assert np.array_equal(tr.PcaConstruction(n, 1.0)._A, vecs * np.sqrt(lam))
+        dense = tr.PcaConstruction(n, 1.0)._A  # n = 2000 takes the FFT route
+        assert dense is None if n == 2000 else np.array_equal(dense, vecs * np.sqrt(lam)), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 8, 9, 2000])
+def test_pca_fft_route_matches_dense_product(monkeypatch, n):
+    # 2n + 1 prime; n = 2000 (4001, 2000 = 2^4 5^3) takes the FFT route at
+    # the default crossover, the small n only with the crossover lowered
+    if n < tr._PCA_FFT_MIN_N:
+        monkeypatch.setattr(tr, "_PCA_FFT_MIN_N", 1)
+    c = tr.PcaConstruction(n, 1.7)
+    assert c._A is None, n
+    lam, vecs = tr.pca_factors(n, 1.7)
+    A = vecs * np.sqrt(lam)
+    rng = np.random.default_rng(n)
+    for rows in (1, 7, 511, 512):
+        X = rng.standard_normal((rows, n))
+        ref = X @ A.T
+        assert np.abs(c.apply(X) - ref).max() <= 1e-13 * np.abs(ref).max(), (n, rows)
+    x = rng.standard_normal(n)
+    y = c.apply(x)
+    assert y.shape == (n,) and np.abs(y - A @ x).max() <= 1e-13 * np.abs(A @ x).max(), n
+
+
+def test_pca_fft_route_covariance_at_2000():
+    A = tr.construction_matrix(tr.PcaConstruction(2000, 1.0))
+    assert np.abs(A @ A.T - brownian_cov(2000, 1.0)).max() <= 1e-12
+
+
+def test_pca_route_follows_n():
+    # the FFT route needs 2n + 1 prime, n at or above the crossover and no
+    # large prime factor of n: n = 250 and 601 keep the gemm as 501 = 3 * 167
+    # and 1203 = 3 * 401, n = 300 (601 prime) as it is below the crossover,
+    # and n = 1013 (2027 prime) as 1013 is prime
+    routes = {250: False, 601: False, 300: False, 1013: False, 600: True, 2000: True}
+    for n, fft in routes.items():
+        assert (tr.PcaConstruction(n, 1.0)._A is None) == fft, n
 
 
 def test_bridge_terminal_uses_first_normal():
