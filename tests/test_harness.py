@@ -180,13 +180,14 @@ def test_parallel_matches_sequential():
 def test_estimates_independent_of_worker_threads():
     # N below one chunk, where pca's gemm runs with BLAS capped (workers 2
     # and 3) and uncapped (workers 1); basket at dim 2500, whose chunks are
-    # 512 rows, not the 2048 of n = 250; the two-reflection asian-barrier
+    # 512 rows, not the 2048 of n = 250, with LT's 25 row dots as block
+    # gemms at both heights; the two-reflection asian-barrier
     # chain; n = 601, whose barrier quadrature (3 blocks) and PCA factor
     # (6 blocks) are built on the chunk pool; and n = 2000, where pca takes
     # the FFT route, four 512-row chunks a batch
     cases = [
         _cfg(methods=["forward", "pca", "regression", "lt"], n=250, paths=[512, 1024], batches=2),
-        _cfg(payoff="basket", methods=["forward", "pca", "regression"], n=250, paths=[2048], assets=10),
+        _cfg(payoff="basket", methods=["forward", "pca", "regression", "lt"], n=250, paths=[2048], assets=10),
         _cfg(payoff="asian-barrier", methods=["bb", "regression"], n=64, paths=[2**14], barrier=110.0),
         _cfg(payoff="digital-barrier", methods=["pca", "regression"], n=601, paths=[1024], barrier=110.0),
         _cfg(payoff="digital-barrier", methods=["pca"], n=2000, paths=[2048], barrier=110.0),

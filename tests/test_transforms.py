@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -500,20 +501,20 @@ def test_fused_chain_construction_matches_sequential():
 
 def test_fused_chain_construction_row_blocks():
     # more rows than one update block holds: the rank-m updates of the
-    # blocks join seamlessly, for one reflection and for LT's 25
+    # blocks join seamlessly, for one reflection (its offset dot) and for
+    # LT's 25 (block gemms); at n = 2000 an update block is 131 rows
     gen = np.random.default_rng(13)
-    n = 300
-    base = tr.ForwardConstruction(n, 1.0)
-    X = gen.standard_normal((2 * (tr._UPDATE_BLOCK // n) + 5, n))
-    before = X.copy()
-    for m in (1, 25):
+    for n, m in itertools.product((300, 2000), (1, 25)):
+        base = tr.ForwardConstruction(n, 1.0)
+        X = gen.standard_normal((2 * (tr._UPDATE_BLOCK // n) + 5, n))
+        before = X.copy()
         targets = np.triu(gen.standard_normal((m, n)))  # target k is zero before k
         chain = _chain(n, [(t, k) for k, t in enumerate(targets, start=1)])
         assert chain.V.shape == (m, n)
         want = base.apply(_reflect_one_by_one(chain, X))
         got = tr.ChainConstruction(chain, base).apply(X)
         np.testing.assert_array_equal(X, before)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), m
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (n, m)
 
 
 # --- basket -----------------------------------------------------------------
