@@ -3,8 +3,8 @@
 A run prices one payoff with one or more path constructions over a grid of
 sample sizes N.  Every batch uses the same Sobol points under its own
 random shift derived from (seed, batch), so results are reproducible.
-The points are priced in fixed row chunks (about 4 MiB of normals, at
-least 512 rows) on a pool of worker threads.  Each chunk makes its own
+The points are priced in fixed row chunks (about 1 MiB of normals, at
+least 128 rows) on a pool of worker threads.  Each chunk makes its own
 Sobol states once and, batch by batch, turns them into normals in one
 reused buffer and prices every method on them, keeping only the payoff
 sums over each prefix N.  The sums are added in chunk order, so the
@@ -76,15 +76,22 @@ from .transforms import (
 RAW_HEADER = "payoff,method,n,N,batch,estimate,runtime_ms"
 SUMMARY_HEADER = "payoff,method,n,N,mean,stddev,batches"
 
-# Entries of one chunk's (rows, dim) float64 normals: 4 MiB, so a chunk's
-# normals, paths and prices stay within a core's share of the cache.
-_CHUNK_ELEMENTS = 2**19
+# Entries of one chunk's (rows, dim) float64 normals: 1 MiB.  A worker
+# holds four or five arrays of that size (states, normals, construction
+# output, scratch), so they stay near a core's 2 MiB L2 cache; at 2^19
+# entries they took 20-35 MiB a worker.  On asian-250 (a 2-vCPU Xeon,
+# medians of 4 alternating processes) the methods ran 4-13 % slower at
+# 2^18, and at 2^16 pca tied while the others ran 6-24 % slower, 24-46 %
+# at 2^15, as the per-chunk numpy calls grow with the chunk count.
+_CHUNK_ELEMENTS = 2**17
 # Fewest rows per chunk, whatever the dimension: the chunk size at n = 2000
-# and for a 10 x 250 basket.  256 and 512 rows tie on digital-2000 (a 2-core
-# Xeon with OpenBLAS): bb 0.548 against 0.554 s an operation, medians of 18,
-# and pca's FFT route (``PcaConstruction``) 19.8-20.6 against 16.1-20.4 ms
-# per 512 rows.
-_MIN_CHUNK_ROWS = 512
+# and for a 10 x 250 basket.  Swept over 64, 128 and 256 (same box, 11
+# alternating processes on digital-2000 and 4 on the basket): 128 and 256
+# won about half the pairs against each other on every method, and 256
+# took 6 MiB more RSS on digital-2000 and 16-23 MiB more on the basket;
+# 64 read 1-6 % slower in six of the nine medians for 3 MiB less on
+# digital-2000.
+_MIN_CHUNK_ROWS = 128
 
 
 def usable_cores() -> int:

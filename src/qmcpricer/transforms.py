@@ -44,12 +44,13 @@ _PCA_BLOCK = 2**16
 _PCA_FFT_MIN_N = 450
 _PCA_FFT_MAX_FACTOR = 23
 _PCA_FFT_BLOCK = 2**16
-# Coordinates per gemm of a chain's row dots.  OpenBLAS splits a longer
-# inner dimension one way on one thread and another way on several (past
-# 384 with OpenBLAS 0.3.31's SkylakeX kernels), which changed the dots'
-# last bits with the thread count; block products added in order do not.
-# At 512 x 2500 with 25 rows, one BLAS thread, ten blocks took 2.1 ms and
-# one gemm 2.3 ms.
+# Coordinates per gemm of a chain's row dots and of PCA's dense product
+# (``_blocked_product``).  OpenBLAS splits a longer inner dimension one
+# way on one thread and another way on several (past 384 with OpenBLAS
+# 0.3.31's SkylakeX kernels), which changed the products' last bits with
+# the thread count; block products added in order do not.  At 512 x 2500
+# with 25 rows, one BLAS thread, ten blocks took 2.1 ms and one gemm
+# 2.3 ms.
 _DOT_BLOCK = 256
 
 
@@ -65,6 +66,17 @@ def _row_dots(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     gemms (see ``TransformChain._dots``).
     """
     return np.einsum("ij,j->i", X, v)
+
+
+def _blocked_product(X: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X B for rows X and a (k, m) B, as one gemm per ``_DOT_BLOCK`` rows
+    of B, the block products added in order, so the sum does not depend on
+    how OpenBLAS splits a long inner dimension among its threads."""
+    b = _DOT_BLOCK
+    P = X[..., :b] @ B[:b]
+    for lo in range(b, B.shape[0], b):
+        P += X[..., lo : lo + b] @ B[lo : lo + b]
+    return P
 
 
 def _subtract_products(dst: np.ndarray, X: np.ndarray, P: np.ndarray, G: np.ndarray) -> None:
@@ -185,11 +197,7 @@ class TransformChain:
         if len(self._starts) == 1:
             lo = self._starts[0]
             return _row_dots(X[:, lo:], self.V[0, lo:])[None]
-        b = _DOT_BLOCK
-        P = X[:, :b] @ self.V[:, :b].T
-        for lo in range(b, self.n, b):
-            P += X[:, lo : lo + b] @ self.V[:, lo : lo + b].T
-        return P.T
+        return _blocked_product(X, self.V.T).T
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """U x for a single vector or a (N, n) batch of row vectors, in a new array."""
@@ -438,7 +446,8 @@ class PcaConstruction:
       do the estimates.  It agrees with the dense product to 3.5e-15
       relative to the largest entry at n = 2000.
     * **Dense.**  Otherwise the (n, n) factor is built by ``pca_factors``,
-      whose row blocks ``map`` runs, and each call is one gemm.
+      whose row blocks ``map`` runs, and each call is one gemm per
+      ``_DOT_BLOCK`` coordinates (``_blocked_product``): one at n <= 256.
     """
 
     def __init__(self, n: int, T: float, map=map):
@@ -493,7 +502,7 @@ class PcaConstruction:
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if self._A is not None:
-            return x @ self._A.T
+            return _blocked_product(x, self._A.T)
         X = np.ascontiguousarray(x.reshape(-1, self.n))
         N, n = X.shape
         out = np.empty((N, n))
@@ -534,8 +543,11 @@ class ChainConstruction:
         self.chain = chain
         self.base = base
         self.n = base.n
-        # rows of (C V^T W)^T; base.apply maps rows x^T to (C x)^T
-        self._update = chain.W.T @ base.apply(chain.V) if chain._starts else None
+        # rows of (C V^T W)^T; base.apply maps rows x^T to (C x)^T.  numpy's
+        # own sum, not a gemm, whose last bits followed the BLAS thread count
+        self._update = (
+            np.einsum("ki,kj->ij", chain.W, base.apply(chain.V)) if chain._starts else None
+        )
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

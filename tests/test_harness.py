@@ -178,22 +178,24 @@ def test_parallel_matches_sequential():
 
 
 def test_estimates_independent_of_worker_threads():
-    # N below one chunk, where pca's gemm runs with BLAS capped (workers 2
-    # and 3) and uncapped (workers 1); basket at dim 2500, whose chunks are
-    # 512 rows, not the 2048 of n = 250, with LT's 25 row dots as block
-    # gemms at both heights; the two-reflection asian-barrier
-    # chain; n = 601, whose barrier quadrature (3 blocks) and PCA factor
-    # (6 blocks) are built on the chunk pool; and n = 2000, where pca takes
-    # the FFT route, four 512-row chunks a batch
+    # one and two 512-row chunks at n = 250, where pca's gemm runs with BLAS
+    # capped (workers 2 and 3) and uncapped (workers 1); basket at dim 2500,
+    # whose chunks are 128 rows, with LT's 25 row dots as block gemms at
+    # both heights; the two-reflection asian-barrier chain; n = 601, whose
+    # barrier quadrature (3 blocks) and PCA factor (6 blocks) are built on
+    # the chunk pool, and where asian pca's dense product spans three
+    # 256-coordinate blocks; and n = 2000, where pca takes the FFT route,
+    # sixteen 128-row chunks a batch
     cases = [
         _cfg(methods=["forward", "pca", "regression", "lt"], n=250, paths=[512, 1024], batches=2),
+        _cfg(methods=["pca"], n=601, paths=[1024], batches=2),
         _cfg(payoff="basket", methods=["forward", "pca", "regression", "lt"], n=250, paths=[2048], assets=10),
         _cfg(payoff="asian-barrier", methods=["bb", "regression"], n=64, paths=[2**14], barrier=110.0),
         _cfg(payoff="digital-barrier", methods=["pca", "regression"], n=601, paths=[1024], barrier=110.0),
         _cfg(payoff="digital-barrier", methods=["pca"], n=2000, paths=[2048], barrier=110.0),
     ]
-    assert harness._chunk_rows(250) == 2048 and harness._chunk_rows(2500) == 512
-    assert harness._chunk_rows(64) == 8192 and harness._chunk_rows(2000) == 512
+    assert harness._chunk_rows(250) == 512 and harness._chunk_rows(2500) == 128
+    assert harness._chunk_rows(64) == 2048 and harness._chunk_rows(2000) == 128
     for cfg in cases:
         runs = [harness.run_experiment(replace(cfg, workers=w))[0] for w in (1, 2, 3)]
         ests = [[r.estimate for r in raw] for raw in runs]
@@ -233,7 +235,7 @@ def _spy_pca(monkeypatch, seen, before=lambda self: None):
 def test_blas_capped_in_chunk_pool_and_restored(blas_threads, monkeypatch):
     seen = []
     _spy_pca(monkeypatch, seen)
-    cfg = _cfg(methods=["pca"], n=64, paths=[2**15], workers=2)  # 4 chunks a batch
+    cfg = _cfg(methods=["pca"], n=64, paths=[2**15], workers=2)  # 16 chunks a batch
     harness.run_experiment(cfg)
     assert blas_threads() == 2 and set(seen) == {1}, seen
     harness.timing_report(cfg, repeats=1)
@@ -285,7 +287,7 @@ def test_blas_cap_count_under_many_overlapping_runs(blas_threads):
     # more caller threads than cores, each opening its own pool, with a
     # short switch interval: a lost update of the shared depth count would
     # leave BLAS capped or restore it while a pool still runs
-    cfg = _cfg(n=1024, paths=[1024], workers=3)  # two 512-row chunks a batch
+    cfg = _cfg(n=1024, paths=[1024], workers=3)  # eight 128-row chunks a batch
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -295,6 +297,21 @@ def test_blas_cap_count_under_many_overlapping_runs(blas_threads):
     finally:
         sys.setswitchinterval(interval)
     assert blas_threads() == 2 and harness._blas_cap_depth == 0
+
+
+def test_chain_construction_setup_independent_of_blas_threads(blas_threads):
+    # W^T (C V^T) once per set-up: as a gemm, 22 of basket lt's 62,500
+    # entries changed in their last bit between one and two OpenBLAS threads
+    _, set_ = harness._openblas_threads()
+    cfg = _cfg(payoff="basket", methods=["lt", "regression"], n=250, assets=10)
+    updates = {}
+    for threads in (1, 2):
+        set_(threads)
+        problem = harness._build_problem(cfg)
+        updates[threads] = {m: c._update for m, c in problem.constructions.items()}
+    for m in cfg.methods:
+        assert updates[1][m].shape == (25 if m == "lt" else 1, 2500)
+        assert np.array_equal(updates[1][m], updates[2][m]), m
 
 
 # --- set-up blocks on the chunk pool ---------------------------------------
@@ -440,7 +457,7 @@ def test_setup_block_errors_reach_the_cli_with_their_type(
 
 
 def test_peak_memory_flat_in_paths():
-    # Under tracemalloc, going from N = 2^12 to 2^14 (2 to 8 chunks) adds at
+    # Under tracemalloc, going from N = 2^12 to 2^14 (8 to 32 chunks) adds at
     # most 1 MiB: no Sobol states, normals or payoffs are kept for all N.
     def peak(N):
         cfg = _cfg(methods=["regression"], n=250, paths=[N], workers=1)
@@ -454,6 +471,26 @@ def test_peak_memory_flat_in_paths():
     peak(2**12)  # direction table and coefficients cached outside the measurement
     grown = peak(2**14) - peak(2**12)
     assert grown <= 2**20, grown
+
+
+def test_peak_memory_of_a_digital_2000_run():
+    # the benchmark's digital-barrier n = 2000 operation, its four methods in
+    # one run on two workers: 128-row chunks keep each worker's normals,
+    # paths and scratch near 1 MiB apiece.  With 512-row chunks of 2^19
+    # entries it peaked at 46 MiB under tracemalloc, and at 17 MiB with
+    # 128-row ones.
+    cfg = _cfg(
+        payoff="digital-barrier", methods=["forward", "bb", "pca", "regression"],
+        n=2000, paths=[2**12], barrier=110.0, workers=2,
+    )
+    rng.max_dimension()  # direction table cached outside the measurement
+    tracemalloc.start()
+    try:
+        harness.run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak
 
 
 def _batch_major(cfg):
@@ -479,10 +516,10 @@ def _every_method(payoff, n, paths):
 
 @pytest.mark.parametrize("payoff", harness.PAYOFFS)
 def test_chunk_major_estimates_match_batch_major_reference(payoff):
-    # dimension 512: 1024-row chunks, so N = 256 is part of one chunk,
+    # dimension 128: 1024-row chunks, so N = 256 is part of one chunk,
     # 1024 one whole chunk and 4096 the sum of four chunk sums
-    cfg = _every_method(payoff, 512, [256, 1024, 4096])
-    assert harness._chunk_rows(512) == 1024
+    cfg = _every_method(payoff, 128, [256, 1024, 4096])
+    assert harness._chunk_rows(128) == 1024
     ref = _batch_major(cfg)
     raw, _ = harness.run_experiment(cfg)
     assert len(raw) == len(ref)
@@ -493,7 +530,7 @@ def test_chunk_major_estimates_match_batch_major_reference(payoff):
 
 @pytest.mark.parametrize("payoff", harness.PAYOFFS)
 def test_grid_within_one_chunk_is_bit_identical_to_batch_major(payoff):
-    cfg = _every_method(payoff, 64, [16, 128, 1024])  # 8192-row chunks
+    cfg = _every_method(payoff, 64, [16, 128, 1024])  # 2048-row chunks
     ref = _batch_major(cfg)
     raw, _ = harness.run_experiment(cfg)
     assert {(r.method, r.N, r.batch): r.estimate for r in raw} == ref
@@ -775,7 +812,7 @@ def test_python_m_qmcpricer_runs_from_a_checkout():
 
 def test_python_m_qmcpricer_overflow_stderr_is_the_message_alone():
     # the prices overflow at rate 800; numpy's error state is per thread, so
-    # the last case, two 512-row chunks, checks the chunk threads too
+    # the last case, eight 128-row chunks, checks the chunk threads too
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     price = [sys.executable, "-m", "qmcpricer", "price", "--rate", "800"]
     digital = ["--payoff", "digital-barrier", "--barrier", "110"]
@@ -896,7 +933,7 @@ def test_cli_float_overflow_exits_4(argv, capsys):
 def test_cli_sobol_block_out_of_memory_exits_2(monkeypatch, capsys):
     # every chunk of a 2^32-point run makes its own Sobol states on a chunk
     # thread; the stand-in refuses them there, and the MemoryError reaches
-    # the CLI as one line.  Of the 32768 chunks, only those queued before the
+    # the CLI as one line.  Of the 131072 chunks, only those queued before the
     # first result was read (two per worker, and one more) ever start.
     on_main = []
 
