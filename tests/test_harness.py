@@ -317,12 +317,13 @@ def test_chain_construction_setup_independent_of_blas_threads(blas_threads):
 # --- set-up blocks on the chunk pool ---------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 285, 286, 2000])
+@pytest.mark.parametrize("n", [1, 2, 238, 239, 2000])
 def test_setup_blocks_bit_identical_on_the_chunk_pool(n):
-    # 284 quadrature times and 2^16 PCA table entries make one block, so
-    # n = 285 and 286 sit on the quadrature's first block edge, 286 and 2000
-    # have several blocks of both, and 1 and 2 have a single one or none;
-    # one worker runs several blocks in order on its one pool thread
+    # 237 quadrature times and 2^16 PCA table entries make one block, so
+    # n = 238 and 239 sit on the quadrature's first block edge (one full
+    # block, then one more of a single time), 2000 has several blocks of
+    # both, and 1 and 2 have none or a single one; one worker runs several
+    # blocks in order on its one pool thread
     serial = bm.barrier_coefficients(100.0, 0.04, 0.2, 1.0, n, 110.0)
     lam, vecs = pca_factors(n, 1.0)
     A = vecs * np.sqrt(lam)
