@@ -14,6 +14,9 @@ could overflow: for a positive drift the reflected term is the product of
 a Gaussian factor and erfcx, each at most one (``_hit_prob``), so no
 formula overflows however large the barrier or the drift.
 
+``scipy.special`` is imported by the functions that call it, on first use,
+so importing this module does not import it.
+
 These produce the regression coefficients for barrier payoffs: the
 indicator of ``max_k S_k >= u`` becomes the indicator of a drifted
 Brownian maximum exceeding log(u/S0)/sigma.
@@ -25,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, ndtr
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -64,6 +66,8 @@ def _hit_prob(u: np.ndarray, nu: float, t) -> tuple[np.ndarray, np.ndarray]:
     R = e^{-a1^2/2} erfcx(-a2/sqrt2)/2, a product of two factors at most one:
     erfcx's argument is never negative.
     """
+    from scipy.special import erfcx, ndtr  # on first use, as in rng.inv_normal_cdf
+
     st = np.sqrt(t)
     a = np.multiply(u, -1.0 / st)
     a += nu * st  # a1
@@ -85,6 +89,8 @@ def _hit_prob(u: np.ndarray, nu: float, t) -> tuple[np.ndarray, np.ndarray]:
 
 def _upper_tail_mean(u: float, mu, st):
     """E(1_{B >= u} B) for B ~ N(mu, st^2), elementwise over mu and st."""
+    from scipy.special import ndtr  # on first use, as in rng.inv_normal_cdf
+
     z = (u - mu) / st
     return mu * ndtr(-z) + st * np.exp(-0.5 * z * z) / _SQRT2PI
 

@@ -10,6 +10,11 @@ Subcommands:
 Exit codes: 0 success, 2 bad flags or a Sobol block too large for memory,
 3 unsupported (payoff, method) combination, 4 numerical failure (a
 non-finite price estimate or regression coefficient, or a float overflow).
+
+scipy.special is imported on first use, by the calls that evaluate a
+normal quantile or a barrier probability: a run that prices, and coeffs of
+a barrier payoff.  A call refused for its flags or its method (exit 2 or
+3), --help, table1 and Asian or basket coeffs never import it.
 """
 
 from __future__ import annotations

@@ -351,8 +351,6 @@ def _regression(cfg: ExperimentConfig, row: _PayoffRow, dim: int, map):
 
 
 def _lt(cfg: ExperimentConfig, row: _PayoffRow, dim: int, map):
-    if row.lt_spec is None:
-        raise UnsupportedCombinationError(f"method 'lt' unsupported for payoff {cfg.payoff!r}")
     return lt_transform(row.lt_spec(cfg), min(cfg.lt_columns, dim)).chain
 
 
@@ -385,6 +383,16 @@ def supported_methods(payoff: str, methods) -> list[str]:
     """The given methods that can price the payoff (LT needs a log-exp spec)."""
     lt_ok = _PAYOFF_TABLE[payoff].lt_spec is not None
     return [m for m in methods if m != "lt" or lt_ok]
+
+
+def _refuse_unsupported(cfg: ExperimentConfig) -> None:
+    """Raise UnsupportedCombinationError for the first method of the config
+    that cannot price its payoff.  Runs before any set-up, so a refused
+    call builds nothing, opens no pool and imports no scipy."""
+    supported = supported_methods(cfg.payoff, cfg.methods)
+    for m in cfg.methods:
+        if m not in supported:
+            raise UnsupportedCombinationError(f"method {m!r} unsupported for payoff {cfg.payoff!r}")
 
 
 def regression_vector_for(cfg: ExperimentConfig) -> RegressionVector:
@@ -487,6 +495,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[RawRow], list[BatchStats
     """Batched randomized-QMC estimates for every (method, N) in the config:
     the chunks' payoff sums over points 0..N-1, added in chunk order, over N.
     The set-up's blocks run on the same pool as the chunks."""
+    _refuse_unsupported(cfg)
     methods, paths = cfg.methods, cfg.paths
     sums = np.zeros((len(methods), cfg.batches, len(paths)))
     seconds = np.zeros((len(methods), cfg.batches))
@@ -571,6 +580,7 @@ def timing_report(
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
+    _refuse_unsupported(cfg)
     dim = _PAYOFF_TABLE[cfg.payoff].dim(cfg)
     X = rng.shifted_normals(
         rng.sobol_block(max(cfg.paths), dim), rng.shift_vector(cfg.seed, 0, dim)

@@ -18,7 +18,8 @@ are derived from a counter-based generator keyed by ``(seed, batch)`` so
 batches are reproducible and independent of execution order.  A shifted
 state x stands for the cell [x 2^-32, (x+1) 2^-32) and is mapped to the
 cell's midpoint (x + 1/2) 2^-32, which lies strictly inside (0, 1), so
-normal inversion needs no clamp.
+normal inversion needs no clamp.  The inversion is ``scipy.special.ndtri``,
+which ``inv_normal_cdf`` imports on its first call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import functools
 import importlib.resources
 
 import numpy as np
-from scipy.special import ndtri
 
 BITS = 32
 MAX_INDEX = 1 << BITS
@@ -175,6 +175,10 @@ def inv_normal_cdf(u, out: np.ndarray | None = None):
 
     ``out`` may be ``u`` itself to invert in place.
     """
+    # imported on first use: scipy.special is most of a fresh process's
+    # import time, which a run that evaluates no quantile does not pay
+    from scipy.special import ndtri
+
     arr = np.asarray(u, dtype=np.float64)
     # written so that NaN, which fails every comparison, is refused too
     if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):

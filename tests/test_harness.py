@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import os
 import pathlib
@@ -18,6 +19,19 @@ from qmcpricer import brownian_max as bm
 from qmcpricer import cli, harness, rng
 from qmcpricer.regression import asian_spec, logexp_coefficients
 from qmcpricer.transforms import construction_matrix, pca_factors
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports qmcpricer from
+    this checkout's ``src``; output captured as text."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def _cfg(**kw):
@@ -149,6 +163,23 @@ def test_unsupported_lt_barrier():
     cfg = _cfg(payoff="asian-barrier", methods=["lt"], barrier=110.0)
     with pytest.raises(harness.UnsupportedCombinationError):
         harness.run_experiment(cfg)
+
+
+def test_unsupported_method_refused_before_any_set_up(monkeypatch):
+    # lt listed after regression: the refusal comes before the pool opens
+    # and before the barrier quadrature or the normals are computed
+    def never(*args, **kwargs):
+        raise AssertionError("set-up ran before the refusal")
+
+    for name in ("_chunk_pool", "barrier_coefficients", "_build_problem"):
+        monkeypatch.setattr(harness, name, never)
+    monkeypatch.setattr(rng, "shifted_normals", never)
+    cfg = _cfg(payoff="digital-barrier", methods=["regression", "lt"], barrier=110.0)
+    message = "method 'lt' unsupported for payoff 'digital-barrier'"
+    with pytest.raises(harness.UnsupportedCombinationError, match=message):
+        harness.run_experiment(cfg)
+    with pytest.raises(harness.UnsupportedCombinationError, match=message):
+        harness.timing_report(cfg, repeats=1)
 
 
 def test_rows_sorted():
@@ -356,14 +387,7 @@ before = faults()
 np.ones(2**21)
 print(faults() - before)
 """
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    run = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    run = _python("-c", code)
     assert run.returncode == 0, run.stderr
     assert int(run.stdout) < 64, run.stdout
 
@@ -387,22 +411,12 @@ def test_cli_extreme_barrier_regression_same_for_one_and_two_workers():
     # the hit is so rare (gamma ~ 1e-83) that the quadrature's terms under-
     # and overflow; with warnings as errors, one worker and two (3 quadrature
     # blocks on the pool) must print the same lines and exit alike
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
     argv = [
-        sys.executable, "-W", "error::RuntimeWarning", "-m", "qmcpricer", "price",
+        "-W", "error::RuntimeWarning", "-m", "qmcpricer", "price",
         "--payoff", "digital-barrier", "--barrier", "200", "--sigma", "0.01", "--rate", "0.5",
         "--method", "regression", "--n", "600", "--paths", "1024", "--batches", "2",
     ]
-    runs = [
-        subprocess.run(
-            argv + ["--workers", str(workers)],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        for workers in (1, 2)
-    ]
+    runs = [_python(*argv, "--workers", str(workers)) for workers in (1, 2)]
     one, two = [(p.returncode, p.stdout, p.stderr) for p in runs]
     assert one == two, (one, two)
     assert one[2].count("\n") <= 1 and "Warning" not in one[2], one
@@ -799,14 +813,7 @@ def test_cli_coeffs_refuses_what_price_refuses():
 
 
 def test_python_m_qmcpricer_runs_from_a_checkout():
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "qmcpricer", "price", "--n", "4", "--paths", "64", "--batches", "2"],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _python("-m", "qmcpricer", "price", "--n", "4", "--paths", "64", "--batches", "2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("asian forward n=4 N=64 ")
 
@@ -814,8 +821,7 @@ def test_python_m_qmcpricer_runs_from_a_checkout():
 def test_python_m_qmcpricer_overflow_stderr_is_the_message_alone():
     # the prices overflow at rate 800; numpy's error state is per thread, so
     # the last case, eight 128-row chunks, checks the chunk threads too
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    price = [sys.executable, "-m", "qmcpricer", "price", "--rate", "800"]
+    price = ["-m", "qmcpricer", "price", "--rate", "800"]
     digital = ["--payoff", "digital-barrier", "--barrier", "110"]
     refused = "numerical failure: non-finite estimate\n"
     cases = [
@@ -824,14 +830,58 @@ def test_python_m_qmcpricer_overflow_stderr_is_the_message_alone():
         (digital + ["--n", "1024", "--paths", "1024", "--batches", "2", "--workers", "2"], 0, ""),
     ]
     for flags, code, err in cases:
-        proc = subprocess.run(
-            price + flags,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = _python(*price, *flags)
         assert (proc.returncode, proc.stderr) == (code, err), flags
+
+
+def test_cli_calls_that_evaluate_no_normal_import_no_scipy_special():
+    # scipy.special is imported where ndtri, ndtr and erfcx are called; a
+    # fresh process runs each call in turn and reports its exit code and
+    # whether scipy.special has been imported so far.  The priced call comes
+    # last and must import it, so the check cannot pass vacuously.
+    code = """
+import contextlib, io, json, sys
+from qmcpricer import cli
+digital = ["--payoff", "digital-barrier", "--barrier", "110", "--n", "2000"]
+cases = [
+    ["price", "--method", "lt"] + digital,
+    ["price", "--method", "regression", "--method", "lt"] + digital,
+    ["price", "--n", "0"],
+    ["--help"],
+    ["table1", "--n", "64"],
+    ["coeffs", "--n", "8"],
+    ["coeffs", "--payoff", "basket", "--assets", "3", "--n", "8"],
+    ["price", "--n", "4", "--paths", "64", "--batches", "2"],
+]
+seen = []
+for argv in cases:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    seen.append([rc, "scipy.special" in sys.modules])
+print(json.dumps(seen))
+"""
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    seen = [tuple(case) for case in json.loads(proc.stdout)]
+    assert seen == [(3, False), (3, False), (2, False), (0, False), (0, False), (0, False),
+                    (0, False), (0, True)]
+
+
+def test_cli_first_special_function_calls_on_the_pool_threads(capsys):
+    # 4 chunks and the quadrature's 9 blocks run on two pool threads, so a
+    # fresh process first imports scipy.special for ndtr and erfcx (the
+    # quadrature) and ndtri (the chunks) off the main thread
+    argv = [
+        "price", "--payoff", "digital-barrier", "--barrier", "110", "--n", "2000",
+        "--paths", "512", "--batches", "2", "--workers", "2", "--method", "regression",
+    ]
+    proc = _python("-m", "qmcpricer", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_cli_coeffs_extreme_barrier_is_finite(capsys):
