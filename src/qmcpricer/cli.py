@@ -4,7 +4,7 @@ Subcommands:
   price        one run at a fixed N, raw per-batch CSV
   convergence  N-grid run, summary CSV
   table1       residual-fraction grid for the Asian payoff
-  timing       per-method wall-time report
+  timing       per-method set-up and evaluation times
   coeffs       dump the regression coefficient vector
 
 Exit codes: 0 success, 2 bad flags or a Sobol block too large for memory,
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2**12, help="time steps for the exact sums")
     p.set_defaults(func=_cmd_table1)
 
-    p = sub.add_parser("timing", help="per-method wall times")
+    p = sub.add_parser("timing", help="per-method set-up and evaluation times")
     _add_market_flags(p)
     p.add_argument("--paths", type=int, default=2**14)
     p.add_argument("--repeats", type=int, default=5)

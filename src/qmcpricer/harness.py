@@ -2,14 +2,15 @@
 
 A run prices one payoff with one or more path constructions over a grid of
 sample sizes N.  Every batch uses the same Sobol points under its own
-random shift derived from (seed, batch), so results are reproducible.
-The points are priced in fixed row chunks (about 1 MiB of normals, at
-least 128 rows) on a pool of worker threads.  Each chunk makes its own
-Sobol states once and, batch by batch, turns them into normals in one
-reused buffer and prices every method on them, keeping only the payoff
-sums over each prefix N.  The sums are added in chunk order, so the
-estimates do not depend on the thread count or schedule, and memory does
-not grow with N.  While a pool of more than one thread runs, OpenBLAS is
+random shift derived from (seed, batch), so results are reproducible.  The
+points are priced in fixed row chunks (about 1 MiB of normals, at least
+128 rows) on a pool of worker threads.  Each chunk makes its own Sobol
+states once and, batch by batch, turns them into normals in one reused
+buffer and prices every method on them, keeping only the payoff sums over
+each prefix N.  The sums are added in chunk order, so the estimates do not
+depend on the thread count or schedule, and memory does not grow with N.
+``timing_report`` prices through the same loop (``_price``), its repeats
+being batches.  While a pool of more than one thread runs, OpenBLAS is
 held at one thread for the whole process, so PCA's per-chunk products do
 not start BLAS threads that compete with the chunk threads.  The first
 pool of a process raises glibc's malloc thresholds
@@ -23,9 +24,10 @@ the caller's numpy error state and writing only its own rows, so the
 constructions are bit-identical for any thread count.  A set-up of one
 block runs on the calling thread.
 
-Estimates are deterministic for a given configuration and seed.  Wall
-times in the raw rows are measurements and naturally vary from run to
-run; the summary schema carries no timing column and is byte-stable.
+Estimates are deterministic for a given configuration and seed.  The
+times in the raw rows and the timing report are measurements and
+naturally vary from run to run; the summary schema carries no timing
+column and is byte-stable.
 """
 
 from __future__ import annotations
@@ -266,6 +268,7 @@ class RawRow:
     N: int
     batch: int
     estimate: float
+    # the (method, batch)'s evaluation seconds, summed over the chunk threads
     runtime_ms: float
 
 
@@ -479,16 +482,38 @@ def _pool_map(pool, workers: int):
     return ordered
 
 
-def _evaluate(pool, workers: int, problem: _Problem, method: str, X: np.ndarray) -> np.ndarray:
-    """Payoffs of the rows of normals ``X`` under ``method``, in row chunks on
-    ``pool``.  Chunk bounds depend on the dimension alone, so the payoffs do
-    not depend on the threads."""
-    rows = _chunk_rows(problem.dim)
+def _price(pool, cfg: ExperimentConfig, problem: _Problem, paths: list[int], batches: int):
+    """The run loop, in row chunks on ``pool``, batch b under the shift of
+    (cfg.seed, b): the (method, batch, N) payoff sums over points 0..N-1,
+    added in chunk order, and each (method, batch)'s evaluation seconds,
+    summed over the chunks.  Chunk bounds depend on the dimension alone, so
+    the sums do not depend on the threads."""
+    methods, dim, max_n, rows = cfg.methods, problem.dim, max(paths), _chunk_rows(problem.dim)
+    shifts = [rng.shift_vector(cfg.seed, b, dim) for b in range(batches)]
+    sums = np.zeros((len(methods), batches, len(paths)))
+    seconds = np.zeros((len(methods), batches))
 
-    def chunk(lo: int) -> np.ndarray:
-        return problem.evaluate(problem.constructions[method], X[lo : lo + rows])
+    def chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        points = rng.sobol_block(min(rows, max_n - lo), dim, start=lo)
+        X = np.empty(points.shape)  # every batch's normals, in turn
+        part, part_s = np.zeros_like(sums), np.zeros_like(seconds)
+        for b, shift in enumerate(shifts):
+            rng.shifted_normals(points, shift, out=X)
+            for i, m in enumerate(methods):
+                t0 = time.perf_counter()
+                v = problem.evaluate(problem.constructions[m], X)
+                part_s[i, b] = time.perf_counter() - t0
+                # chunk sizes and N are powers of two, so N - lo > 0 takes
+                # the whole chunk or, when N is below a chunk, a prefix
+                for j, N in enumerate(paths):
+                    if lo < N:
+                        part[i, b, j] = v[: N - lo].sum()
+        return part, part_s
 
-    return np.concatenate(list(_map_chunks(pool, workers, chunk, range(0, len(X), rows))))
+    for part, part_s in _map_chunks(pool, cfg.workers, chunk, range(0, max_n, rows)):
+        sums += part
+        seconds += part_s
+    return sums, seconds
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[RawRow], list[BatchStats]]:
@@ -497,33 +522,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[RawRow], list[BatchStats
     The set-up's blocks run on the same pool as the chunks."""
     _refuse_unsupported(cfg)
     methods, paths = cfg.methods, cfg.paths
-    sums = np.zeros((len(methods), cfg.batches, len(paths)))
-    seconds = np.zeros((len(methods), cfg.batches))
     with _chunk_pool(cfg.workers) as pool:
         problem = _build_problem(cfg, _pool_map(pool, cfg.workers))
-        dim, max_n, rows = problem.dim, max(paths), _chunk_rows(problem.dim)
-        shifts = [rng.shift_vector(cfg.seed, b, dim) for b in range(cfg.batches)]
-
-        def chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
-            points = rng.sobol_block(min(rows, max_n - lo), dim, start=lo)
-            X = np.empty(points.shape)  # every batch's normals, in turn
-            part, part_s = np.zeros_like(sums), np.zeros_like(seconds)
-            for b, shift in enumerate(shifts):
-                rng.shifted_normals(points, shift, out=X)
-                for i, m in enumerate(methods):
-                    t0 = time.perf_counter()
-                    v = problem.evaluate(problem.constructions[m], X)
-                    part_s[i, b] = time.perf_counter() - t0
-                    # chunk sizes and N are powers of two, so N - lo > 0 takes
-                    # the whole chunk or, when N is below a chunk, a prefix
-                    for j, N in enumerate(paths):
-                        if lo < N:
-                            part[i, b, j] = v[: N - lo].sum()
-            return part, part_s
-
-        for part, part_s in _map_chunks(pool, cfg.workers, chunk, range(0, max_n, rows)):
-            sums += part
-            seconds += part_s
+        sums, seconds = _price(pool, cfg, problem, paths, cfg.batches)
 
     raw = [
         RawRow(cfg.payoff, m, cfg.n, N, b, float(sums[i, b, j] / N), seconds[i, b] * 1000.0)
@@ -568,70 +569,63 @@ def write_summary_csv(stats: list[BatchStats], path: str) -> None:
 def timing_report(
     cfg: ExperimentConfig, repeats: int = 5
 ) -> list[dict]:
-    """Median-of-``repeats`` pricing wall time per method at a fixed N.
+    """Set-up time and median pricing time per method at N = max(cfg.paths).
 
-    The normal inputs are generated once and shared across methods, so the
-    per-method time isolates transform setup plus path construction plus
-    payoff evaluation, run in row chunks on ``cfg.workers`` threads as in
-    ``run_experiment``.  Setup (determining the transform) is timed
-    separately and included in the reported total.  The repeats run
-    round-robin over the methods, so load on the machine during the
-    report moves every method alike.
+    The repeats are batches ``0 .. repeats-1`` of ``run_experiment``'s run
+    loop (``_price``): each chunk turns its points into normals once a
+    batch and prices every method on them, so load on the machine moves
+    every method alike.  A method's run time is the median over the
+    batches of its evaluation seconds (construction, paths and payoff),
+    summed over the chunk threads; its estimate is batch 0's.  Set-up
+    (determining the transform) is timed separately, on the same pool, and
+    included in the reported total.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     _refuse_unsupported(cfg)
-    dim = _PAYOFF_TABLE[cfg.payoff].dim(cfg)
-    X = rng.shifted_normals(
-        rng.sobol_block(max(cfg.paths), dim), rng.shift_vector(cfg.seed, 0, dim)
-    )
-    problems, setup_ms, estimates = {}, {}, {}
-    times = {method: [] for method in cfg.methods}
+    N, setup_ms = max(cfg.paths), {}
+    problem = _build_problem(replace(cfg, methods=[]))  # each method's construction added below
     with _chunk_pool(cfg.workers) as pool:
         for method in cfg.methods:
             t0 = time.perf_counter()
-            problems[method] = _build_problem(
-                replace(cfg, methods=[method]), _pool_map(pool, cfg.workers)
-            )
+            built = _build_problem(replace(cfg, methods=[method]), _pool_map(pool, cfg.workers))
             setup_ms[method] = (time.perf_counter() - t0) * 1000.0
-        for _ in range(repeats):
-            for method in cfg.methods:
-                t0 = time.perf_counter()
-                values = _evaluate(pool, cfg.workers, problems[method], method, X)
-                times[method].append((time.perf_counter() - t0) * 1000.0)
-                estimates[method] = float(values.mean())
-    run_ms = {method: float(np.median(t)) for method, t in times.items()}
+            problem.constructions.update(built.constructions)
+        sums, seconds = _price(pool, cfg, problem, [N], repeats)
+    run_ms = np.median(seconds, axis=1) * 1000.0
     return [
         {
             "method": method,
             "setup_ms": setup_ms[method],
-            "run_ms": run_ms[method],
-            "total_ms": setup_ms[method] + run_ms[method],
-            "estimate": estimates[method],
+            "run_ms": float(run_ms[i]),
+            "total_ms": setup_ms[method] + float(run_ms[i]),
+            "estimate": float(sums[i, 0, 0] / N),
         }
-        for method in cfg.methods
+        for i, method in enumerate(cfg.methods)
     ]
 
 
 def reflection_apply_times(
     sizes: list[int], paths: int = 256, repeats: int = 100, seed: int = 0
 ) -> dict[int, float]:
-    """Median wall time (ms) of one Householder application per size.
+    """Least wall time (ms) of one Householder application per size.
 
     Each size's one-reflection chain is built once, and only its ``apply``
     to ``paths`` rows is timed.  Used to check the O(n) application cost:
-    doubling n should roughly double the time.
+    doubling n should roughly double the time.  The repeats run round-robin
+    over the sizes, so all sizes meet the same cache state and load (run
+    size after size, a smaller block stayed cached between its repeats),
+    and the minimum leaves out what load added.
     """
     gen = np.random.default_rng(seed)
-    out = {}
+    cases = {}
     for n in sizes:
         a = np.abs(gen.standard_normal(n)) + 0.1
-        chain = householder_from_target(a, k=1)
-        X = gen.standard_normal((paths, n))
-        times = []
-        for _ in range(repeats):
+        cases[n] = householder_from_target(a, k=1), gen.standard_normal((paths, n))
+    times = {n: [] for n in cases}
+    for _ in range(repeats):
+        for n, (chain, X) in cases.items():
             t0 = time.perf_counter()
             chain.apply(X)
-            times.append((time.perf_counter() - t0) * 1000.0)
-        out[n] = float(np.median(times))
-    return out
+            times[n].append((time.perf_counter() - t0) * 1000.0)
+    return {n: min(t) for n, t in times.items()}

@@ -33,6 +33,8 @@ BITS = 32
 MAX_INDEX = 1 << BITS
 # A state x maps to the uniform (x + 1/2) * CELL; both steps are exact.
 CELL = 2.0**-BITS
+# The vendored table's dimensions, known without deriving it; a test checks it.
+_TABLE_DIMENSIONS = 2600
 
 
 def _parse_table(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,7 +100,7 @@ def _directions(dim: int) -> np.ndarray:
 
 def max_dimension() -> int:
     """Largest dimension covered by the vendored direction-number table."""
-    return _load_directions().shape[1]
+    return _TABLE_DIMENSIONS
 
 
 def _state_at(index: int, V: np.ndarray) -> np.ndarray:

@@ -104,7 +104,7 @@ def test_config_validation():
 
 def test_oversized_basket_refused_before_its_market_is_built():
     # a 20000-asset correlation would be 3 GB; the dimension check needs none
-    rng.max_dimension()  # direction table cached outside the measurement
+    rng._load_directions()  # direction table cached outside the measurement
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
@@ -498,7 +498,7 @@ def test_peak_memory_of_a_digital_2000_run():
         payoff="digital-barrier", methods=["forward", "bb", "pca", "regression"],
         n=2000, paths=[2**12], barrier=110.0, workers=2,
     )
-    rng.max_dimension()  # direction table cached outside the measurement
+    rng._load_directions()  # direction table cached outside the measurement
     tracemalloc.start()
     try:
         harness.run_experiment(cfg)
@@ -616,12 +616,41 @@ def test_timing_report_rejects_zero_repeats():
 
 
 def test_timing_report_shape():
-    cfg = _cfg(methods=["forward", "regression"], paths=[256], batches=2)
+    # four chunks at n = 64; the estimate is run_experiment's batch 0, bit for bit
+    methods = ["forward", "regression", "pca", "lt"]
+    cfg = _cfg(methods=methods, n=64, paths=[2**13], seed=5, workers=2)
     rows = harness.timing_report(cfg, repeats=2)
-    assert [r["method"] for r in rows] == ["forward", "regression"]
+    assert [r["method"] for r in rows] == methods
+    raw, _ = harness.run_experiment(replace(cfg, paths=[2**10, 2**13]))
+    batch0 = {r.method: r.estimate for r in raw if r.batch == 0 and r.N == 2**13}
     for r in rows:
         assert r["total_ms"] >= r["run_ms"] >= 0.0
         assert math.isfinite(r["estimate"])
+        assert r["estimate"] == batch0[r["method"]], (r, batch0)
+    assert harness.timing_report(replace(cfg, methods=[]), repeats=1) == []
+
+
+def test_timing_report_runs_in_chunks(monkeypatch):
+    # no whole (N, dim) block: every Sobol block and every set of normals
+    # holds one chunk's rows at most
+    cfg = _cfg(methods=["forward", "pca"], n=250, paths=[2**12], workers=2)
+    rows = harness._chunk_rows(250)
+    assert rows < 2**12
+    counts = []
+    real_block, real_normals = rng.sobol_block, rng.shifted_normals
+
+    def sobol_block(count, dim, start=0):
+        counts.append(count)
+        return real_block(count, dim, start)
+
+    def shifted_normals(points, shift, out=None):
+        counts.append(len(points))
+        return real_normals(points, shift, out=out)
+
+    monkeypatch.setattr(rng, "sobol_block", sobol_block)
+    monkeypatch.setattr(rng, "shifted_normals", shifted_normals)
+    harness.timing_report(cfg, repeats=2)
+    assert counts and max(counts) <= rows, (max(counts), rows)
 
 
 def test_reflection_apply_times_keys():

@@ -121,6 +121,13 @@ def test_points_distinct_dim1():
     assert np.unique(states).size == 2**20
 
 
+def test_max_dimension_without_deriving_the_table():
+    rng._load_directions.cache_clear()
+    top = rng.max_dimension()
+    assert rng._load_directions.cache_info().currsize == 0  # nothing derived
+    assert top == rng._load_directions().shape[1]
+
+
 def test_unsupported_dimension():
     with pytest.raises(ValueError, match="unsupported dimension"):
         rng.sobol_block(1, rng.max_dimension() + 1, start=0)
