@@ -24,7 +24,9 @@ from .payoffs import (
     barrier_hit,
     basket_paths,
     log_drift,
+    log_paths,
     payoff,
+    prices,
 )
 from .regression import (
     LogExpPayoffSpec,

@@ -55,6 +55,7 @@ from .payoffs import (
     barrier_hit,
     basket_paths,
     log_drift,
+    log_paths,
     payoff,
 )
 from .regression import (
@@ -307,7 +308,8 @@ def _basket_cov(cfg: ExperimentConfig) -> BasketCovSpec:
 
 @dataclass(frozen=True)
 class _PayoffRow:
-    reduction: Callable  # (S, strike, barrier) -> undiscounted payoff of (..., m, n) prices
+    paths: Callable  # (S0, drift, construction output) -> the (..., m, n) paths the reduction reads
+    reduction: Callable  # (paths, S0, strike, barrier) -> undiscounted payoff per path
     providers: tuple  # (cfg, map) -> coefficient vector of each smooth part, in chain order
     lt_spec: Callable | None  # cfg -> log-exp spec for LT; None refuses the method
     barrier: bool = False  # needs a positive barrier level and sigma
@@ -322,9 +324,18 @@ class _PayoffRow:
         return cfg.assets * cfg.n if self.basket else cfg.n
 
 
-# Coefficient providers and log-exp specs call the library through this
-# module's namespace, where the benchmark's trace hooks find them.  A
-# provider runs any set-up blocks it has through ``map`` (see _pool_map).
+# Path steps, coefficient providers and log-exp specs call the library
+# through this module's namespace, where the benchmark's trace hooks find
+# them.  A provider runs any set-up blocks it has through ``map`` (see
+# _pool_map).
+def _prices(S0: np.ndarray, drift: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return basket_paths(S0, drift, Y)
+
+
+def _log_prices(S0: np.ndarray, drift: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return log_paths(drift, Y)  # a barrier reduction needs no exp to decide a hit
+
+
 def _average_spec(cfg: ExperimentConfig):
     """Log-exp spec of the average price over the payoff's assets and steps."""
     cov = _PAYOFF_TABLE[cfg.payoff].market(cfg)
@@ -342,10 +353,12 @@ def _barrier_a(cfg: ExperimentConfig, map=map) -> np.ndarray:
 
 
 _PAYOFF_TABLE = {
-    "asian": _PayoffRow(average_call, (_average_a,), _average_spec),
-    "basket": _PayoffRow(average_call, (_average_a,), _average_spec, basket=True),
-    "digital-barrier": _PayoffRow(barrier_hit, (_barrier_a,), None, barrier=True),
-    "asian-barrier": _PayoffRow(barrier_average_call, (_barrier_a, _average_a), None, barrier=True),
+    "asian": _PayoffRow(_prices, average_call, (_average_a,), _average_spec),
+    "basket": _PayoffRow(_prices, average_call, (_average_a,), _average_spec, basket=True),
+    "digital-barrier": _PayoffRow(_log_prices, barrier_hit, (_barrier_a,), None, barrier=True),
+    "asian-barrier": _PayoffRow(
+        _log_prices, barrier_average_call, (_barrier_a, _average_a), None, barrier=True
+    ),
 }
 
 
@@ -426,9 +439,10 @@ def _build_problem(cfg: ExperimentConfig, map=map) -> _Problem:
     disc = math.exp(-cfg.rate * cfg.maturity)
 
     def evaluate(construction, X):  # on the chunk threads: numpy's error state is per thread
-        with np.errstate(over="ignore", invalid="ignore"):
-            S = basket_paths(S0, drift, construction.apply(X))
-            return payoff(row.reduction, disc, S, cfg.strike, cfg.barrier)
+        # divide: a barrier level's log(B / S0) is -inf where B / S0 underflows
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            P = row.paths(S0, drift, construction.apply(X))
+            return payoff(row.reduction, disc, P, S0, cfg.strike, cfg.barrier)
 
     problem = _Problem(cov.dim, evaluate)
     R = cov.R()

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ import pytest
 
 from qmcpricer import brownian_max as bm
 from qmcpricer import cli, harness, rng
+from qmcpricer.payoffs import basket_paths, log_drift
 from qmcpricer.regression import asian_spec, logexp_coefficients
 from qmcpricer.transforms import construction_matrix, pca_factors
 
@@ -549,6 +551,59 @@ def test_grid_within_one_chunk_is_bit_identical_to_batch_major(payoff):
     ref = _batch_major(cfg)
     raw, _ = harness.run_experiment(cfg)
     assert {(r.method, r.N, r.batch): r.estimate for r in raw} == ref
+
+
+def _price_space_problem(build):
+    """``build`` with the barrier payoffs priced as before they read
+    log-prices: paths through ``basket_paths``, the hit decided on prices."""
+
+    def problem_for(cfg, map=map):
+        problem = build(cfg, map)
+        S0 = np.array([cfg.s0])
+        drift = log_drift(harness._PAYOFF_TABLE[cfg.payoff].market(cfg), cfg.rate)
+        disc = math.exp(-cfg.rate * cfg.maturity)
+
+        def evaluate(construction, X):
+            with np.errstate(over="ignore", invalid="ignore"):
+                S = basket_paths(S0, drift, construction.apply(X))
+                v = (S.max(axis=(-2, -1)) >= cfg.barrier).astype(np.float64)
+                if cfg.payoff == "asian-barrier":
+                    v = v * np.maximum(S.mean(axis=(-2, -1)) - cfg.strike, 0.0)
+                return disc * v
+
+        problem.evaluate = evaluate
+        return problem
+
+    return problem_for
+
+
+@pytest.mark.parametrize("seed", [1, 2101])
+@pytest.mark.parametrize("payoff", ["digital-barrier", "asian-barrier"])
+def test_barrier_on_log_prices_matches_price_space_reference(payoff, seed, monkeypatch):
+    # the hit decided on L >= log(B / S0) gives every estimate of the test
+    # on prices S >= B, bit for bit
+    cfg = _cfg(
+        payoff=payoff, methods=["forward", "bb", "pca", "regression"], n=250,
+        paths=[2**10, 2**12], batches=4, barrier=110.0, seed=seed,
+    )
+    raw, stats = harness.run_experiment(cfg)
+    monkeypatch.setattr(harness, "_build_problem", _price_space_problem(harness._build_problem))
+    ref_raw, ref_stats = harness.run_experiment(cfg)
+    got = {(r.method, r.N, r.batch): r.estimate.hex() for r in raw}
+    assert got == {(r.method, r.N, r.batch): r.estimate.hex() for r in ref_raw}
+    assert len(set(got.values())) > 1
+    assert [(s.mean, s.stddev) for s in stats] == [(s.mean, s.stddev) for s in ref_stats]
+
+
+def test_barrier_level_that_underflows_prices_without_warnings():
+    # B / S0 = 1e-330 underflows to 0, so the log level is -inf: every
+    # path reaches it, and numpy's divide warning stays quiet
+    cfg = _cfg(payoff="digital-barrier", s0=1e300, barrier=1e-30, methods=["forward", "bb"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raw, _ = harness.run_experiment(cfg)
+    disc = math.exp(-cfg.rate * cfg.maturity)
+    assert all(abs(r.estimate - disc) <= 1e-15 for r in raw)
 
 
 def test_grid_prefix_consistency():

@@ -14,6 +14,7 @@ from qmcpricer.transforms import (
 )
 
 DISC = math.exp(-0.04)
+S0 = np.array([100.0])
 
 
 def _one_asset(n=4, sigma=0.2):
@@ -25,6 +26,13 @@ def _gbm(X, n=4, sigma=0.2):
     cov = _one_asset(n, sigma)
     forward = KroneckerConstruction(cholesky_psd(cov.R()), ForwardConstruction(n, 1.0))
     return po.basket_paths(np.array([100.0]), po.log_drift(cov, 0.04), forward.apply(X))
+
+
+def _log_prices(X, n=4, sigma=0.2):
+    """(..., 1, n) log-prices log(S / S0) of the paths ``_gbm`` prices."""
+    cov = _one_asset(n, sigma)
+    forward = KroneckerConstruction(cholesky_psd(cov.R()), ForwardConstruction(n, 1.0))
+    return po.log_paths(po.log_drift(cov, 0.04), forward.apply(X))
 
 
 def test_gbm_path_zero_brownian():
@@ -74,13 +82,13 @@ def test_terminal_price_martingale():
 
 def test_asian_call_zero_strike():
     S = _gbm(np.zeros(4))
-    got = po.payoff(po.average_call, DISC, S, 0.0, None)
+    got = po.payoff(po.average_call, DISC, S, S0, 0.0, None)
     assert abs(got - DISC * S.mean()) < 1e-12
 
 
 def test_asian_call_oracle_on_batch():
     S = _gbm(np.random.default_rng(22).standard_normal((50, 6)), n=6)
-    got = po.payoff(po.average_call, DISC, S, 100.0, None)
+    got = po.payoff(po.average_call, DISC, S, S0, 100.0, None)
     want = DISC * np.maximum(S[:, 0].mean(axis=1) - 100.0, 0.0)
     np.testing.assert_allclose(got, want, atol=1e-14)
 
@@ -91,36 +99,68 @@ def _certain_barrier():
 
 
 def test_digital_barrier_below_spot_certain():
-    S = _gbm(np.random.default_rng(23).standard_normal((1000, 4)))
-    got = po.payoff(po.barrier_hit, DISC, S, 100.0, _certain_barrier())
+    L = _log_prices(np.random.default_rng(23).standard_normal((1000, 4)))
+    got = po.payoff(po.barrier_hit, DISC, L, S0, 100.0, _certain_barrier())
     np.testing.assert_allclose(got, DISC, atol=1e-14)
 
 
 def test_digital_barrier_values_binary():
-    S = _gbm(np.random.default_rng(24).standard_normal((200, 4)))
-    got = po.payoff(po.barrier_hit, DISC, S, 100.0, 110.0)
+    L = _log_prices(np.random.default_rng(24).standard_normal((200, 4)))
+    got = po.payoff(po.barrier_hit, DISC, L, S0, 100.0, 110.0)
     assert set(np.unique(got)) <= {0.0, DISC}
 
 
 def test_digital_barrier_monotone_in_barrier():
-    S = _gbm(np.random.default_rng(25).standard_normal((500, 4)))
-    lo = po.payoff(po.barrier_hit, DISC, S, 100.0, 105.0)
-    hi = po.payoff(po.barrier_hit, DISC, S, 100.0, 115.0)
+    L = _log_prices(np.random.default_rng(25).standard_normal((500, 4)))
+    lo = po.payoff(po.barrier_hit, DISC, L, S0, 100.0, 105.0)
+    hi = po.payoff(po.barrier_hit, DISC, L, S0, 100.0, 115.0)
     assert np.all(lo >= hi)
 
 
+def test_barrier_hit_at_exact_log_level():
+    # a log-price equal to log(B / S0) reaches the barrier; one ulp below does not
+    level = math.log(110.0 / 100.0)
+    L = np.array([[[0.0, level, 0.01]], [[0.0, np.nextafter(level, 0.0), 0.01]]])
+    np.testing.assert_array_equal(po.barrier_hit(L, S0, 100.0, 110.0), [1.0, 0.0])
+
+
+def test_barrier_hit_below_spot():
+    # B < S0: the level log(B / S0) is negative, and a path that stays
+    # under it misses
+    L = np.array([[[-0.3, -0.2, -0.05]], [[-0.3, -0.2, -0.11]], [[0.0, 0.0, 0.0]]])
+    np.testing.assert_array_equal(po.barrier_hit(L, S0, 100.0, 90.0), [1.0, 0.0, 1.0])
+
+
+def test_barrier_on_two_assets_with_their_own_spots():
+    # each asset is compared with its own level log(B / S0_i): asset 1's
+    # 0.5 is above asset 0's level log(1.1) but below its own log(2.2),
+    # and the answers agree with the test on prices
+    spots = np.array([100.0, 50.0])
+    L = np.array([
+        [[0.0, 0.05], [0.2, 0.5]],  # no hit
+        [[0.0, 0.1], [0.2, 0.5]],  # asset 0 reaches 110
+        [[0.0, 0.05], [0.8, 0.5]],  # asset 1 reaches 110
+    ])
+    S = spots[:, None] * np.exp(L)
+    want = (S.max(axis=(-2, -1)) >= 110.0).astype(np.float64)
+    np.testing.assert_array_equal(want, [0.0, 1.0, 1.0])
+    np.testing.assert_array_equal(po.barrier_hit(L, spots, 100.0, 110.0), want)
+    got = po.barrier_average_call(L.copy(), spots, 80.0, 110.0)
+    np.testing.assert_array_equal(got, want * np.maximum(S.mean(axis=(-2, -1)) - 80.0, 0.0))
+
+
 def test_asian_up_in_dominated_by_asian_call():
-    S = _gbm(np.random.default_rng(26).standard_normal((500, 4)))
-    barrier = po.payoff(po.barrier_average_call, DISC, S, 100.0, 110.0)
-    plain = po.payoff(po.average_call, DISC, S, 100.0, 110.0)
+    X = np.random.default_rng(26).standard_normal((500, 4))
+    barrier = po.payoff(po.barrier_average_call, DISC, _log_prices(X), S0, 100.0, 110.0)
+    plain = po.payoff(po.average_call, DISC, _gbm(X), S0, 100.0, 110.0)
     assert np.all(barrier <= plain + 1e-15)
 
 
 def test_asian_up_in_low_barrier_equals_asian():
-    S = _gbm(np.random.default_rng(27).standard_normal((500, 4)))
+    X = np.random.default_rng(27).standard_normal((500, 4))
     np.testing.assert_array_equal(
-        po.payoff(po.barrier_average_call, DISC, S, 100.0, _certain_barrier()),
-        po.payoff(po.average_call, DISC, S, 100.0, None),
+        po.payoff(po.barrier_average_call, DISC, _log_prices(X), S0, 100.0, _certain_barrier()),
+        po.payoff(po.average_call, DISC, _gbm(X), S0, 100.0, None),
     )
 
 
@@ -186,6 +226,6 @@ def test_basket_single_asset_matches_gbm():
 def test_basket_payoff_grand_average():
     cov = _basket()
     S = po.basket_paths(np.full(2, 100.0), po.log_drift(cov, 0.04), np.zeros(6))
-    got = po.payoff(po.average_call, DISC, S, 90.0, None)
+    got = po.payoff(po.average_call, DISC, S, np.full(2, 100.0), 90.0, None)
     want = DISC * max(S.mean() - 90.0, 0.0)
     assert abs(got - want) < 1e-12

@@ -30,6 +30,34 @@ def test_block_matches_pointwise():
         np.testing.assert_array_equal(block[i], rng.sobol_block(1, 6, start=5 + i)[0])
 
 
+def _scan_block(count, dim, start=0):
+    # the accumulated XOR that sobol_block replaced: row i + 1 is row i
+    # XORed with the direction number of index i's lowest zero bit
+    V = rng._directions(dim)
+    rows = np.empty((count, dim), dtype=np.uint32)
+    if count == 0:
+        return rows
+    rows[0] = rng._state_at(start, V)
+    if count > 1:
+        idx = np.arange(start, start + count - 1, dtype=np.uint64)
+        lsb = ~idx & (idx + 1)
+        c = np.log2(lsb.astype(np.float64)).astype(np.int64)
+        np.take(V, c, axis=0, out=rows[1:], mode="clip")
+        np.bitwise_xor.accumulate(rows, axis=0, out=rows)
+    return rows
+
+
+@pytest.mark.parametrize("dim", [1, 2, 250, 2000, 2600])
+def test_block_by_doubling_matches_xor_scan(dim):
+    # aligned and unaligned starts, the last indices, and counts that are
+    # and are not powers of two
+    for count in (0, 1, 3, 128, 1000, 2**12):
+        for start in (0, 1, 5, 3 * 2**7, 2**12, 7 * 2**12, 2**20 + 2**12, 2**32 - count):
+            got = rng.sobol_block(count, dim, start=start)
+            assert got.shape == (count, dim) and got.dtype == np.uint32
+            np.testing.assert_array_equal(got, _scan_block(count, dim, start), f"{count} at {start}")
+
+
 def test_block_matches_scipy():
     # independent implementation of the same direction numbers
     d = 12
