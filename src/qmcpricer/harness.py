@@ -9,20 +9,21 @@ states once and, batch by batch, turns them into normals in one reused
 buffer and prices every method on them, keeping only the payoff sums over
 each prefix N.  The sums are added in chunk order, so the estimates do not
 depend on the thread count or schedule, and memory does not grow with N.
-``timing_report`` prices through the same loop (``_price``), its repeats
-being batches.  While a pool of more than one thread runs, OpenBLAS is
-held at one thread for the whole process, so PCA's per-chunk products do
-not start BLAS threads that compete with the chunk threads.  The first
-pool of a process raises glibc's malloc thresholds
-(``_keep_freed_memory``), so the chunks' freed arrays are reused from the
-heap instead of being page-faulted afresh.
+``timing_report`` builds through the same set-up (``_build_problem``) and
+prices through the same loop (``_price``), its repeats being batches.
+While a pool of more than one thread runs, OpenBLAS is held at one thread
+for the whole process, so PCA's per-chunk products do not start BLAS
+threads that compete with the chunk threads.  The first pool of a process
+raises glibc's malloc thresholds (``_keep_freed_memory``), so the chunks'
+freed arrays are reused from the heap instead of being page-faulted
+afresh.
 
-Set-up runs on the same pool: the barrier quadrature's blocks of time
-steps and the PCA factor's blocks of rows go through ``_pool_map``, which
-runs them in order as the chunks run (``_map_chunks``), each block under
-the caller's numpy error state and writing only its own rows, so the
-constructions are bit-identical for any thread count.  A set-up of one
-block runs on the calling thread.
+The barrier quadrature's blocks of time steps run on the same pool: they
+go through ``_pool_map``, which runs them in order as the chunks run
+(``_map_chunks``), each block under the caller's numpy error state and
+writing only its own entries, so the coefficients are bit-identical for
+any thread count.  A quadrature of one block, and every other set-up,
+runs on the calling thread.
 
 Estimates are deterministic for a given configuration and seed.  The
 times in the raw rows and the timing report are measurements and
@@ -41,7 +42,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -232,6 +233,8 @@ class ExperimentConfig:
                 )
         if len(set(self.paths)) < len(self.paths):
             raise ValueError(f"path counts must be distinct, got {self.paths}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must be distinct, got {self.methods}")
         if self.lt_columns < 0:
             raise ValueError(f"lt_columns must be nonnegative, got {self.lt_columns}")
         if self.n < 1:
@@ -291,6 +294,7 @@ class _Problem:
     dim: int
     evaluate: Callable  # (construction, X) -> payoff vector
     constructions: dict = field(default_factory=dict)
+    setup_ms: dict = field(default_factory=dict)  # method -> its construction's build time
 
 
 def _single_cov(cfg: ExperimentConfig) -> BasketCovSpec:
@@ -326,8 +330,8 @@ class _PayoffRow:
 
 # Path steps, coefficient providers and log-exp specs call the library
 # through this module's namespace, where the benchmark's trace hooks find
-# them.  A provider runs any set-up blocks it has through ``map`` (see
-# _pool_map).
+# them.  A provider runs any set-up blocks it has (the barrier quadrature's)
+# through ``map`` (see _pool_map).
 def _prices(S0: np.ndarray, drift: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return basket_paths(S0, drift, Y)
 
@@ -370,25 +374,16 @@ def _lt(cfg: ExperimentConfig, row: _PayoffRow, dim: int, map):
     return lt_transform(row.lt_spec(cfg), min(cfg.lt_columns, dim)).chain
 
 
-def _forward(n: int, T: float, map):
-    return ForwardConstruction(n, T)
-
-
-def _bridge(n: int, T: float, map):
-    return BrownianBridgeConstruction(n, T)
-
-
-# method -> (time factor (n, T, map), asset factor K1 with K1 K1^T = R,
+# method -> (time factor (n, T), asset factor K1 with K1 K1^T = R,
 # builder (cfg, payoff row, dim, map) -> the TransformChain in front, or
 # None).  A chain is fused into the construction (``ChainConstruction``).
-# ``map`` runs set-up blocks: the PCA factor's rows and the barrier
-# quadrature's times.
+# ``map`` runs the barrier quadrature's blocks of times.
 _METHOD_TABLE = {
-    "forward": (_forward, cholesky_psd, None),
-    "bb": (_bridge, cholesky_psd, None),
+    "forward": (ForwardConstruction, cholesky_psd, None),
+    "bb": (BrownianBridgeConstruction, cholesky_psd, None),
     "pca": (PcaConstruction, eigh_factor, None),
-    "regression": (_forward, cholesky_psd, _regression),
-    "lt": (_forward, cholesky_psd, _lt),
+    "regression": (ForwardConstruction, cholesky_psd, _regression),
+    "lt": (ForwardConstruction, cholesky_psd, _lt),
 }
 
 PAYOFFS = tuple(_PAYOFF_TABLE)
@@ -426,11 +421,13 @@ def regression_vector_for(cfg: ExperimentConfig) -> RegressionVector:
 def _build_problem(cfg: ExperimentConfig, map=map) -> _Problem:
     """Each method's construction: chain, then asset factor, then time factor.
 
-    ``map`` runs the set-up blocks (``_pool_map``); the constructions are
-    bit-identical for any ordered map.  The drift comes first, so an
-    overflowing volatility raises FloatingPointError before anything else
-    is built from it.  Any other overflow gives inf or NaN silently, and
-    the CLI refuses it (exit 4).
+    ``map`` runs the barrier quadrature's blocks (``_pool_map``); the
+    constructions are bit-identical for any ordered map.  Each method's
+    build time (its factors and chain; the market, drift and R are shared)
+    goes to ``setup_ms``.  The drift comes first, so an overflowing
+    volatility raises FloatingPointError before anything else is built
+    from it.  Any other overflow gives inf or NaN silently, and the CLI
+    refuses it (exit 4).
     """
     row = _PAYOFF_TABLE[cfg.payoff]
     cov = row.market(cfg)
@@ -447,12 +444,14 @@ def _build_problem(cfg: ExperimentConfig, map=map) -> _Problem:
     problem = _Problem(cov.dim, evaluate)
     R = cov.R()
     for m in cfg.methods:
+        t0 = time.perf_counter()
         time_factor, asset_factor, chain = _METHOD_TABLE[m]
-        construction = KroneckerConstruction(asset_factor(R), time_factor(cfg.n, cfg.maturity, map))
+        construction = KroneckerConstruction(asset_factor(R), time_factor(cfg.n, cfg.maturity))
         if chain is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 construction = ChainConstruction(chain(cfg, row, problem.dim, map), construction)
         problem.constructions[m] = construction
+        problem.setup_ms[m] = (time.perf_counter() - t0) * 1000.0
     return problem
 
 
@@ -480,9 +479,9 @@ def _map_chunks(pool, workers: int, chunk: Callable, starts: Sequence):
 
 
 def _pool_map(pool, workers: int):
-    """The ordered map that set-up runs its blocks through: ``_map_chunks``
-    over a sequence of block starts, each block under the caller's numpy
-    error state, which is per thread."""
+    """The ordered map that the barrier quadrature runs its blocks through:
+    ``_map_chunks`` over a sequence of block starts, each block under the
+    caller's numpy error state, which is per thread."""
 
     def ordered(fn, starts):
         err = np.geterr()
@@ -591,28 +590,24 @@ def timing_report(
     every method alike.  A method's run time is the median over the
     batches of its evaluation seconds (construction, paths and payoff),
     summed over the chunk threads; its estimate is batch 0's.  Set-up
-    (determining the transform) is timed separately, on the same pool, and
+    (determining the transform) is the method's build time in
+    ``run_experiment``'s one set-up path (``_build_problem``), and is
     included in the reported total.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     _refuse_unsupported(cfg)
-    N, setup_ms = max(cfg.paths), {}
-    problem = _build_problem(replace(cfg, methods=[]))  # each method's construction added below
+    N = max(cfg.paths)
     with _chunk_pool(cfg.workers) as pool:
-        for method in cfg.methods:
-            t0 = time.perf_counter()
-            built = _build_problem(replace(cfg, methods=[method]), _pool_map(pool, cfg.workers))
-            setup_ms[method] = (time.perf_counter() - t0) * 1000.0
-            problem.constructions.update(built.constructions)
+        problem = _build_problem(cfg, _pool_map(pool, cfg.workers))
         sums, seconds = _price(pool, cfg, problem, [N], repeats)
     run_ms = np.median(seconds, axis=1) * 1000.0
     return [
         {
             "method": method,
-            "setup_ms": setup_ms[method],
+            "setup_ms": problem.setup_ms[method],
             "run_ms": float(run_ms[i]),
-            "total_ms": setup_ms[method] + float(run_ms[i]),
+            "total_ms": problem.setup_ms[method] + float(run_ms[i]),
             "estimate": float(sums[i, 0, 0] / N),
         }
         for i, method in enumerate(cfg.methods)

@@ -21,10 +21,6 @@ from typing import Iterable
 import numpy as np
 
 
-# Entries per row block of a reflection's low-rank update.  Each block's
-# product goes to one 2 MiB scratch buffer, which fits a core's L2 cache,
-# where a single update would write a full (N, n) temporary.
-_UPDATE_BLOCK = 2**18
 # Entries per row block of the Brownian bridge's transposed (n + 1, rows)
 # grid: 1 MiB, so the grid, the block's normals and a level's temporaries
 # stay in a core's 2 MiB L2 cache while the levels gather and scatter rows.
@@ -82,24 +78,19 @@ def _blocked_product(X: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _subtract_products(dst: np.ndarray, X: np.ndarray, P: np.ndarray, G: np.ndarray) -> None:
     """dst = X - P^T G for (N, n) rows X, an (m, N) P and an (m, n) G.
 
-    ``dst`` may be X.  The product is formed in row blocks, each in one
-    scratch buffer of at most ``_UPDATE_BLOCK`` entries, instead of as one
-    (N, n) temporary.
+    ``dst`` may be X; then the product takes one (N, n) temporary, else it
+    is formed in ``dst``.  The harness applies constructions to one
+    cache-sized chunk of rows at a time, so the temporary is chunk-sized.
 
-    The blocks' products stay on ``einsum``.  As a gemm, LT's 25-row
+    The product stays on ``einsum``.  As a gemm, LT's 25-row
     update on a 2048 x 250 chunk (one BLAS thread) took 0.9-1.2 instead of
     3.6-5.1 ms, which put LT's total in acceptance criterion 8 below PCA's
     in each of five runs (28.6-47.9 against 30.5-49.4 ms), against the
     ordering pca < lt that the criterion asserts; for a single row the
     gemm was slower, 1.2 against 0.6 ms.
     """
-    N, n = X.shape
-    rows = max(1, _UPDATE_BLOCK // n)
-    scratch = np.empty((min(rows, N), n))
-    for i in range(0, N, rows):
-        block = scratch[: min(rows, N - i)]
-        np.einsum("ki,kj->ij", P[:, i : i + rows], G, out=block)
-        np.subtract(X[i : i + rows], block, out=dst[i : i + rows])
+    product = np.einsum("ki,kj->ij", P, G, out=None if dst is X else dst)
+    np.subtract(X, product, out=dst)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -365,7 +356,7 @@ def _pca_eigenvalues(n: int, T: float) -> np.ndarray:
     return (T / n) / (4.0 * np.sin((2 * k - 1) * np.pi / (2 * (2 * n + 1))) ** 2)
 
 
-def pca_factors(n: int, T: float, map=map) -> tuple[np.ndarray, np.ndarray]:
+def pca_factors(n: int, T: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenpairs of Sigma_jk = (T/n) min(j,k).
 
     lambda_k = (T/n) / (4 sin^2((2k-1) pi / (2(2n+1)))) with eigenvectors
@@ -380,10 +371,9 @@ def pca_factors(n: int, T: float, map=map) -> tuple[np.ndarray, np.ndarray]:
     of a block has the phases of row lo + 1 plus i(2k-1), both reduced
     mod 2(2n+1); the second is one table for every block, so a block's
     phases take an add and one conditional subtraction instead of a
-    remainder.  ``map`` runs the blocks, and each writes only its own rows.
-    The harness passes its chunk pool's ordered map, which runs them on
-    the worker threads; the result is bit-identical to the builtin map's,
-    the default.
+    remainder.  The lookup is a memory-bound gather, so the blocks run in
+    turn on the calling thread: on a two-worker pool it gained nothing
+    below n = 2600 (a 2-core Xeon).
     """
     period = 2 * (2 * n + 1)
     table = (2.0 / math.sqrt(2 * n + 1)) * np.sin(np.arange(period) * np.pi / (2 * n + 1))
@@ -391,16 +381,13 @@ def pca_factors(n: int, T: float, map=map) -> tuple[np.ndarray, np.ndarray]:
     rows = max(1, _PCA_BLOCK // n)
     steps = np.outer(np.arange(min(rows, n), dtype=np.uint64), odd) % period
     vecs = np.empty((n, n))
-
-    def block(lo: int) -> None:
+    for lo in range(0, n, rows):
         phase = steps[: n - lo] + (lo + 1) * odd % period  # below 2 period
         # unsigned, t - period wraps above t unless t >= period
         np.minimum(phase, phase - period, out=phase)
         # the phases are in range; the default mode="raise" would take
         # into a scratch array and copy that to out
         np.take(table, phase.view(np.int64), out=vecs[lo : lo + rows], mode="clip")
-
-    list(map(block, range(0, n, rows)))
     return _pca_eigenvalues(n, T), vecs
 
 
@@ -446,11 +433,11 @@ class PcaConstruction:
       do the estimates.  It agrees with the dense product to 3.5e-15
       relative to the largest entry at n = 2000.
     * **Dense.**  Otherwise the (n, n) factor is built by ``pca_factors``,
-      whose row blocks ``map`` runs, and each call is one gemm per
-      ``_DOT_BLOCK`` coordinates (``_blocked_product``): one at n <= 256.
+      on the calling thread, and each call is one gemm per ``_DOT_BLOCK``
+      coordinates (``_blocked_product``): one at n <= 256.
     """
 
-    def __init__(self, n: int, T: float, map=map):
+    def __init__(self, n: int, T: float):
         self.n = n
         self._A = None
         if (
@@ -460,7 +447,7 @@ class PcaConstruction:
         ):
             self._fft_tables(T)
         else:
-            lam, self._A = pca_factors(n, T, map)
+            lam, self._A = pca_factors(n, T)
             self._A *= np.sqrt(lam)
 
     def _fft_tables(self, T: float) -> None:

@@ -20,7 +20,7 @@ from qmcpricer import brownian_max as bm
 from qmcpricer import cli, harness, rng
 from qmcpricer.payoffs import basket_paths, log_drift
 from qmcpricer.regression import asian_spec, logexp_coefficients
-from qmcpricer.transforms import construction_matrix, pca_factors
+from qmcpricer.transforms import construction_matrix
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -60,6 +60,8 @@ def test_config_validation():
         _cfg(paths=[48])
     with pytest.raises(ValueError, match="distinct"):
         _cfg(paths=[64, 64], batches=4)
+    with pytest.raises(ValueError, match="methods must be distinct"):
+        _cfg(methods=["forward", "bb", "forward"])
     for method in ("forward", "lt"):
         with pytest.raises(ValueError, match="lt_columns must be nonnegative"):
             _cfg(methods=[method], lt_columns=-1)
@@ -215,10 +217,9 @@ def test_estimates_independent_of_worker_threads():
     # capped (workers 2 and 3) and uncapped (workers 1); basket at dim 2500,
     # whose chunks are 128 rows, with LT's 25 row dots as block gemms at
     # both heights; the two-reflection asian-barrier chain; n = 601, whose
-    # barrier quadrature (3 blocks) and PCA factor (6 blocks) are built on
-    # the chunk pool, and where asian pca's dense product spans three
-    # 256-coordinate blocks; and n = 2000, where pca takes the FFT route,
-    # sixteen 128-row chunks a batch
+    # barrier quadrature (3 blocks) is built on the chunk pool, and where
+    # asian pca's dense product spans three 256-coordinate blocks; and
+    # n = 2000, where pca takes the FFT route, sixteen 128-row chunks a batch
     cases = [
         _cfg(methods=["forward", "pca", "regression", "lt"], n=250, paths=[512, 1024], batches=2),
         _cfg(methods=["pca"], n=601, paths=[1024], batches=2),
@@ -352,20 +353,15 @@ def test_chain_construction_setup_independent_of_blas_threads(blas_threads):
 
 @pytest.mark.parametrize("n", [1, 2, 238, 239, 2000])
 def test_setup_blocks_bit_identical_on_the_chunk_pool(n):
-    # 237 quadrature times and 2^16 PCA table entries make one block, so
-    # n = 238 and 239 sit on the quadrature's first block edge (one full
-    # block, then one more of a single time), 2000 has several blocks of
-    # both, and 1 and 2 have none or a single one; one worker runs several
-    # blocks in order on its one pool thread
+    # 237 quadrature times make one block, so n = 238 and 239 sit on the
+    # first block edge (one full block, then one more of a single time),
+    # 2000 has several blocks, and 1 and 2 have none or a single one; one
+    # worker runs several blocks in order on its one pool thread
     serial = bm.barrier_coefficients(100.0, 0.04, 0.2, 1.0, n, 110.0)
-    lam, vecs = pca_factors(n, 1.0)
-    A = vecs * np.sqrt(lam)
     for workers in (1, 2, 3):
         with harness._chunk_pool(workers) as pool:
             pool_map = harness._pool_map(pool, workers)
             pooled = bm.barrier_coefficients(100.0, 0.04, 0.2, 1.0, n, 110.0, pool_map)
-            lam, vecs = pca_factors(n, 1.0, pool_map)
-            assert np.array_equal(vecs * np.sqrt(lam), A), (n, workers)
         assert np.array_equal(pooled.a, serial.a), (n, workers)
         assert np.array_equal(pooled.beta, serial.beta), (n, workers)
         assert pooled.gamma == serial.gamma, (n, workers)
@@ -438,22 +434,30 @@ def test_one_block_setup_starts_no_thread(monkeypatch):
     harness.run_experiment(
         replace(cfg, payoff="digital-barrier", methods=["regression", "pca"], n=601, barrier=110.0)
     )
-    assert started  # three quadrature blocks and six PCA blocks go to the pool
+    assert started  # three quadrature blocks go to the pool
+
+
+def test_pca_factor_starts_no_thread(monkeypatch):
+    # n = 601 is not on the FFT route: its dense factor, six blocks of
+    # rows, is built on the calling thread, and N = 1 is one chunk
+    cfg = _cfg(methods=["pca"], n=601, paths=[1], workers=2)
+    assert harness.PcaConstruction(601, 1.0)._A is not None
+    started = []
+    real = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or real(self))
+    harness.run_experiment(cfg)
+    assert started == []
 
 
 @pytest.mark.parametrize(
     "error, code",
     [(harness.UnsupportedCombinationError, 3), (FloatingPointError, 4)],
 )
-@pytest.mark.parametrize(
-    "method, owner, attr",
-    [("regression", bm, "_hit_prob"), ("pca", np, "take")],
-)
+@pytest.mark.parametrize("method, owner, attr", [("regression", bm, "_hit_prob")])
 def test_setup_block_errors_reach_the_cli_with_their_type(
     blas_threads, monkeypatch, capsys, error, code, method, owner, attr
 ):
     # a block raising on a pool thread: the quadrature's hitting probability
-    # or the PCA table's lookup
     real, raised_on = getattr(owner, attr), []
 
     def fail_off_main(*args, **kwargs):
@@ -685,6 +689,22 @@ def test_timing_report_shape():
     assert harness.timing_report(replace(cfg, methods=[]), repeats=1) == []
 
 
+def test_timing_report_builds_through_build_problem_once(monkeypatch):
+    # set-up is run_experiment's own: one build of every method, and each
+    # row's setup_ms is that build's time for the method
+    cfg = _cfg(methods=["forward", "bb", "pca", "regression", "lt"], n=64, paths=[256])
+    real, built = harness._build_problem, []
+
+    def build_problem(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "_build_problem", build_problem)
+    rows = harness.timing_report(cfg, repeats=1)
+    assert len(built) == 1 and list(built[0].setup_ms) == cfg.methods
+    assert all(r["setup_ms"] == built[0].setup_ms[r["method"]] > 0.0 for r in rows), rows
+
+
 def test_timing_report_runs_in_chunks(monkeypatch):
     # no whole (N, dim) block: every Sobol block and every set of normals
     # holds one chunk's rows at most
@@ -839,6 +859,15 @@ def test_cli_negative_lt_columns_exits_2_for_every_method(capsys):
             )
         assert exc.value.code == 2, method
         assert "lt_columns must be nonnegative" in capsys.readouterr().err
+
+
+def test_cli_repeated_method_exits_2(capsys):
+    # a repeated method would be priced twice and pooled into one summary
+    for command in (["price", "--batches", "4"], ["timing", "--repeats", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--n", "8", "--paths", "64", "--method", "forward", "--method", "forward"])
+        assert exc.value.code == 2, command
+        assert "methods must be distinct" in capsys.readouterr().err
 
 
 def test_cli_zero_workers_exits_2():

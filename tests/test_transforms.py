@@ -135,14 +135,13 @@ def test_apply_householder_batch():
 
 
 def test_apply_householder_row_blocks_match_one_update_bitwise():
-    # more rows than one block holds, and a last block that is not full
+    # more rows than a harness chunk holds at n = 300, an odd count
     gen = np.random.default_rng(4)
     for n, k in ((300, 1), (300, 7)):
         target = gen.standard_normal(n)
         target[: k - 1] = 0.0
         refl = tr.householder_from_target(target, k=k)
-        rows = tr._UPDATE_BLOCK // n
-        X = gen.standard_normal((2 * rows + 5, n))
+        X = gen.standard_normal((1751, n))
         before = X.copy()
         want = X.copy()
         sub = want[:, k - 1 :]
@@ -188,8 +187,8 @@ def test_chain_apply_matches_one_by_one_reference():
         "with identities": [(targets[0], 1), identity, (targets[2], 3), identity],
     }
     assert tr.householder_from_target(*identity).V.shape == (0, n)
-    # more rows than one update block holds, and a last block that is not full
-    X = gen.standard_normal((2 * (tr._UPDATE_BLOCK // n) + 5, n))
+    # more rows than a harness chunk holds at n = 300, an odd count
+    X = gen.standard_normal((1751, n))
     before = X.copy()
     for label, reflections in cases.items():
         chain = _chain(n, reflections)
@@ -500,13 +499,13 @@ def test_fused_chain_construction_matches_sequential():
 
 
 def test_fused_chain_construction_row_blocks():
-    # more rows than one update block holds: the rank-m updates of the
-    # blocks join seamlessly, for one reflection (its offset dot) and for
-    # LT's 25 (block gemms); at n = 2000 an update block is 131 rows
+    # more rows than a harness chunk holds (256 at n = 300, 128 at 2000),
+    # odd counts, for one reflection (its offset dot) and for LT's 25
+    # (block gemms)
     gen = np.random.default_rng(13)
     for n, m in itertools.product((300, 2000), (1, 25)):
         base = tr.ForwardConstruction(n, 1.0)
-        X = gen.standard_normal((2 * (tr._UPDATE_BLOCK // n) + 5, n))
+        X = gen.standard_normal(({300: 1751, 2000: 267}[n], n))
         before = X.copy()
         targets = np.triu(gen.standard_normal((m, n)))  # target k is zero before k
         chain = _chain(n, [(t, k) for k, t in enumerate(targets, start=1)])
