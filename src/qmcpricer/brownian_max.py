@@ -47,12 +47,14 @@ _GL_NODES = 12
 _DENSITY_PANELS = 12
 _SPREAD = 10.0
 _GRADE_MIN, _GRADE_MAX = -5, 5
-# Time steps are processed in blocks of at most this many nodes: 237 steps,
-# whose five node-wide arrays of 512 KiB sit near a core's 2 MiB L2, and
-# 9 blocks at n = 2000 for two workers to share.  On a 2-core box smaller
-# blocks ran slower on the two-thread pool, which pays per block, and
-# larger ones no faster.
-_CHUNK_NODES = 2**16
+# Time steps are processed in blocks of at most this many nodes: 118 steps,
+# whose five node-wide arrays of 256 KiB sit in a core's 2 MiB L2 cache.
+# The blocks bound the memory: at n = 2000 the quadrature's traced peak is
+# 1.9 MiB, 3.7 MiB at 2^16 nodes and 18.5 MiB as one block.  Warm at
+# n = 2000 (2-core box, medians of 9 in five processes), blocks of 2^12 /
+# 2^13 / 2^14 / 2^15 / 2^16 / 2^17 nodes took 32-50 / 25-40 / 24-36 /
+# 23-35 / 25-36 / 29-39 ms.
+_CHUNK_NODES = 2**15
 
 
 def _hit_prob(u: np.ndarray, nu: float, t) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +124,7 @@ def _endpoint_moment(u: float, nu: float, t: float) -> float:
     return float(nu * t * p[0] + 2.0 * u * r[0])
 
 
-def _interior_moments(u: float, nu: float, t: np.ndarray, T: float, map=map) -> np.ndarray:
+def _interior_moments(u: float, nu: float, t: np.ndarray, T: float) -> np.ndarray:
     """E(1_{M^nu_T >= u} B^nu_t) for u > 0 and every entry 0 < t < T of t.
 
     With B = B^nu_t ~ N(nu t, t) and g(x) = P(M^nu_{T-t} >= u - x), the
@@ -140,9 +142,9 @@ def _interior_moments(u: float, nu: float, t: np.ndarray, T: float, map=map) -> 
     with g_y = P(M^nu_{T-t} >= y) and p_t the N(nu t, t) density.  It is
     evaluated by Gauss-Legendre, 12 nodes on each of 23 panels (see
     _GL_NODES; error below 3e-13 against a 60-node rule on 103 panels), in
-    blocks of times of at most _CHUNK_NODES = 2^16 nodes.  ``map`` runs the
-    blocks; each writes only its own entries, so any ordered map, such as
-    a thread pool's, gives the same bits as the builtin one.
+    blocks of times of at most _CHUNK_NODES nodes, which bound the memory.
+    Each time's entry depends on that time alone, so the block size does
+    not change a bit of the result.
     """
     x, w = np.polynomial.legendre.leggauss(_GL_NODES)
     unit = np.linspace(0.0, 1.0, _DENSITY_PANELS + 1)
@@ -150,8 +152,7 @@ def _interior_moments(u: float, nu: float, t: np.ndarray, T: float, map=map) -> 
     panels = unit.size + grades.size - 1
     rows = max(1, _CHUNK_NODES // (panels * _GL_NODES))
     out = np.empty(t.size)
-
-    def block(start: int) -> None:
+    for start in range(0, t.size, rows):
         tc = t[start : start + rows, None]
         st = np.sqrt(tc)
         tau = T - tc
@@ -185,8 +186,6 @@ def _interior_moments(u: float, nu: float, t: np.ndarray, T: float, map=map) -> 
         out[start : start + rows] = _upper_tail_mean(u, nu * tc[:, 0], st[:, 0]) + np.einsum(
             "ij,ij->i", panel_sums, half / (st * _SQRT2PI)
         )
-
-    list(map(block, range(0, t.size, rows)))
     return out
 
 
@@ -225,7 +224,7 @@ class BarrierCoefficients:
 
 
 def barrier_coefficients(
-    S0: float, r: float, sigma: float, T: float, n: int, barrier: float, map=map
+    S0: float, r: float, sigma: float, T: float, n: int, barrier: float
 ) -> BarrierCoefficients:
     """Coefficients a_i = E(h(X) X_i) for h = 1_{max_k S_k >= barrier}.
 
@@ -241,12 +240,8 @@ def barrier_coefficients(
 
     beta_n is closed-form; beta_1 .. beta_{n-1} come from one vectorised
     Gauss-Legendre pass over all n - 1 interior times, in blocks of times
-    that ``map`` runs.  The harness passes its chunk pool's ordered map,
-    which runs the blocks on the worker threads under the caller's numpy
-    error state; a, beta and gamma are bit-identical to the builtin map's,
-    the default.  A barrier at or
-    below spot (u_tilde <= 0) makes the continuous-time indicator constant:
-    a = 0 and gamma = 1.
+    (``_interior_moments``).  A barrier at or below spot (u_tilde <= 0)
+    makes the continuous-time indicator constant: a = 0 and gamma = 1.
     """
     if S0 <= 0.0 or barrier <= 0.0:
         raise ValueError("S0 and barrier must be positive")
@@ -262,7 +257,7 @@ def barrier_coefficients(
             a=np.zeros(n), beta=beta, gamma=1.0, nu=nu, u_tilde=u_tilde
         )
     beta = np.empty(n)
-    beta[:-1] = _interior_moments(u_tilde, nu, steps[:-1] * dt, T, map)
+    beta[:-1] = _interior_moments(u_tilde, nu, steps[:-1] * dt, T)
     beta[-1] = _endpoint_moment(u_tilde, nu, T)
     gamma = prob_max_exceeds(u_tilde, nu, T)
     a = np.diff(np.concatenate([[0.0], beta])) / math.sqrt(dt) - nu * math.sqrt(dt) * gamma

@@ -7,9 +7,11 @@ Subcommands:
   timing       per-method set-up and evaluation times
   coeffs       dump the regression coefficient vector
 
-Exit codes: 0 success, 2 bad flags or a Sobol block too large for memory,
-3 unsupported (payoff, method) combination, 4 numerical failure (a
-non-finite price estimate or regression coefficient, or a float overflow).
+Exit codes: 0 success, 2 bad flags (a basket's rho outside [-1, 1]
+included) or a Sobol block too large for memory, 3 unsupported (payoff,
+method) combination, 4 numerical failure (a non-finite estimate from price,
+convergence or timing, a non-finite regression coefficient, or a float
+overflow).
 
 scipy.special is imported on first use, by the calls that evaluate a
 normal quantile or a barrier probability: a run that prices, and coeffs of
@@ -87,11 +89,18 @@ def _config(args, paths: list[int], methods: list[str]) -> ExperimentConfig:
     return ExperimentConfig(**{**flags, "methods": methods, "n": n, "paths": paths})
 
 
+def _nonfinite(estimates) -> bool:
+    """True, with the refusal printed, when any estimate is inf or NaN (exit 4)."""
+    if all(math.isfinite(e) for e in estimates):
+        return False
+    print("numerical failure: non-finite estimate", file=sys.stderr)
+    return True
+
+
 def _run(args, paths: list[int], methods: list[str], write) -> int:
     """Run, refuse a non-finite estimate (exit 4), write CSV, print the summary."""
     raw, stats = run_experiment(_config(args, paths, methods))
-    if any(not math.isfinite(s.mean) for s in stats):
-        print("numerical failure: non-finite estimate", file=sys.stderr)
+    if _nonfinite(s.mean for s in stats):
         return 4
     if args.out:
         write(raw, stats)
@@ -135,6 +144,8 @@ def _cmd_timing(args) -> int:
     methods = args.method or supported_methods(args.payoff, ["forward", "regression", "pca", "lt"])
     cfg = _config(args, [args.paths], methods)
     report = timing_report(cfg, repeats=args.repeats)
+    if _nonfinite(row["estimate"] for row in report):
+        return 4
     print("method setup_ms run_ms total_ms estimate")
     for row in report:
         print(

@@ -18,12 +18,7 @@ raises glibc's malloc thresholds (``_keep_freed_memory``), so the chunks'
 freed arrays are reused from the heap instead of being page-faulted
 afresh.
 
-The barrier quadrature's blocks of time steps run on the same pool: they
-go through ``_pool_map``, which runs them in order as the chunks run
-(``_map_chunks``), each block under the caller's numpy error state and
-writing only its own entries, so the coefficients are bit-identical for
-any thread count.  A quadrature of one block, and every other set-up,
-runs on the calling thread.
+All set-up, the barrier quadrature included, runs on the calling thread.
 
 Estimates are deterministic for a given configuration and seed.  The
 times in the raw rows and the timing report are measurements and
@@ -254,6 +249,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if row.basket and self.assets < 1:
             raise ValueError("basket needs at least 1 asset")
+        if row.basket and not -1.0 <= self.rho <= 1.0:  # a correlation
+            raise ValueError(f"rho must lie in [-1, 1], got {self.rho!r}")
         # the basket takes its vols from sigma_min and sigma_max, not sigma
         if not row.basket and self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")
@@ -314,7 +311,7 @@ def _basket_cov(cfg: ExperimentConfig) -> BasketCovSpec:
 class _PayoffRow:
     paths: Callable  # (S0, drift, construction output) -> the (..., m, n) paths the reduction reads
     reduction: Callable  # (paths, S0, strike, barrier) -> undiscounted payoff per path
-    providers: tuple  # (cfg, map) -> coefficient vector of each smooth part, in chain order
+    providers: tuple  # cfg -> coefficient vector of each smooth part, in chain order
     lt_spec: Callable | None  # cfg -> log-exp spec for LT; None refuses the method
     barrier: bool = False  # needs a positive barrier level and sigma
     basket: bool = False  # assets with vols sigma_min..sigma_max; else one asset of vol sigma
@@ -330,8 +327,7 @@ class _PayoffRow:
 
 # Path steps, coefficient providers and log-exp specs call the library
 # through this module's namespace, where the benchmark's trace hooks find
-# them.  A provider runs any set-up blocks it has (the barrier quadrature's)
-# through ``map`` (see _pool_map).
+# them.
 def _prices(S0: np.ndarray, drift: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return basket_paths(S0, drift, Y)
 
@@ -346,14 +342,12 @@ def _average_spec(cfg: ExperimentConfig):
     return basket_spec(cov, np.full(cov.m, cfg.s0), cfg.rate)
 
 
-def _average_a(cfg: ExperimentConfig, map=map) -> np.ndarray:
-    return logexp_coefficients(_average_spec(cfg)).a  # closed form, no blocks
+def _average_a(cfg: ExperimentConfig) -> np.ndarray:
+    return logexp_coefficients(_average_spec(cfg)).a
 
 
-def _barrier_a(cfg: ExperimentConfig, map=map) -> np.ndarray:
-    return barrier_coefficients(
-        cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n, cfg.barrier, map
-    ).a
+def _barrier_a(cfg: ExperimentConfig) -> np.ndarray:
+    return barrier_coefficients(cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n, cfg.barrier).a
 
 
 _PAYOFF_TABLE = {
@@ -366,18 +360,17 @@ _PAYOFF_TABLE = {
 }
 
 
-def _regression(cfg: ExperimentConfig, row: _PayoffRow, dim: int, map):
-    return regression_chain([p(cfg, map) for p in row.providers], dim)
+def _regression(cfg: ExperimentConfig, row: _PayoffRow, dim: int):
+    return regression_chain([p(cfg) for p in row.providers], dim)
 
 
-def _lt(cfg: ExperimentConfig, row: _PayoffRow, dim: int, map):
+def _lt(cfg: ExperimentConfig, row: _PayoffRow, dim: int):
     return lt_transform(row.lt_spec(cfg), min(cfg.lt_columns, dim)).chain
 
 
 # method -> (time factor (n, T), asset factor K1 with K1 K1^T = R,
-# builder (cfg, payoff row, dim, map) -> the TransformChain in front, or
-# None).  A chain is fused into the construction (``ChainConstruction``).
-# ``map`` runs the barrier quadrature's blocks of times.
+# builder (cfg, payoff row, dim) -> the TransformChain in front, or None).
+# A chain is fused into the construction (``ChainConstruction``).
 _METHOD_TABLE = {
     "forward": (ForwardConstruction, cholesky_psd, None),
     "bb": (BrownianBridgeConstruction, cholesky_psd, None),
@@ -418,17 +411,18 @@ def regression_vector_for(cfg: ExperimentConfig) -> RegressionVector:
         return RegressionVector.from_coefficients(a)
 
 
-def _build_problem(cfg: ExperimentConfig, map=map) -> _Problem:
+def _build_problem(cfg: ExperimentConfig) -> _Problem:
     """Each method's construction: chain, then asset factor, then time factor.
 
-    ``map`` runs the barrier quadrature's blocks (``_pool_map``); the
-    constructions are bit-identical for any ordered map.  Each method's
-    build time (its factors and chain; the market, drift and R are shared)
-    goes to ``setup_ms``.  The drift comes first, so an overflowing
-    volatility raises FloatingPointError before anything else is built
-    from it.  Any other overflow gives inf or NaN silently, and the CLI
-    refuses it (exit 4).
+    Each method's build time (its factors and chain; the market, drift and
+    R are shared) goes to ``setup_ms``.  scipy.special, which every caller
+    needs to price, is imported before the first build is timed.  The
+    drift comes first, so an overflowing volatility raises
+    FloatingPointError before anything else is built from it.  Any other
+    overflow gives inf or NaN silently, and the CLI refuses it (exit 4).
     """
+    import scipy.special  # noqa: F401  (about 0.3 s in a fresh process)
+
     row = _PAYOFF_TABLE[cfg.payoff]
     cov = row.market(cfg)
     drift = log_drift(cov, cfg.rate)
@@ -449,7 +443,7 @@ def _build_problem(cfg: ExperimentConfig, map=map) -> _Problem:
         construction = KroneckerConstruction(asset_factor(R), time_factor(cfg.n, cfg.maturity))
         if chain is not None:
             with np.errstate(over="ignore", invalid="ignore"):
-                construction = ChainConstruction(chain(cfg, row, problem.dim, map), construction)
+                construction = ChainConstruction(chain(cfg, row, problem.dim), construction)
         problem.constructions[m] = construction
         problem.setup_ms[m] = (time.perf_counter() - t0) * 1000.0
     return problem
@@ -476,23 +470,6 @@ def _map_chunks(pool, workers: int, chunk: Callable, starts: Sequence):
             yield queued.popleft().result()
     while queued:
         yield queued.popleft().result()
-
-
-def _pool_map(pool, workers: int):
-    """The ordered map that the barrier quadrature runs its blocks through:
-    ``_map_chunks`` over a sequence of block starts, each block under the
-    caller's numpy error state, which is per thread."""
-
-    def ordered(fn, starts):
-        err = np.geterr()
-
-        def block(lo):
-            with np.errstate(**err):
-                return fn(lo)
-
-        return list(_map_chunks(pool, workers, block, starts))
-
-    return ordered
 
 
 def _price(pool, cfg: ExperimentConfig, problem: _Problem, paths: list[int], batches: int):
@@ -531,12 +508,11 @@ def _price(pool, cfg: ExperimentConfig, problem: _Problem, paths: list[int], bat
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[RawRow], list[BatchStats]]:
     """Batched randomized-QMC estimates for every (method, N) in the config:
-    the chunks' payoff sums over points 0..N-1, added in chunk order, over N.
-    The set-up's blocks run on the same pool as the chunks."""
+    the chunks' payoff sums over points 0..N-1, added in chunk order, over N."""
     _refuse_unsupported(cfg)
     methods, paths = cfg.methods, cfg.paths
     with _chunk_pool(cfg.workers) as pool:
-        problem = _build_problem(cfg, _pool_map(pool, cfg.workers))
+        problem = _build_problem(cfg)
         sums, seconds = _price(pool, cfg, problem, paths, cfg.batches)
 
     raw = [
@@ -599,7 +575,7 @@ def timing_report(
     _refuse_unsupported(cfg)
     N = max(cfg.paths)
     with _chunk_pool(cfg.workers) as pool:
-        problem = _build_problem(cfg, _pool_map(pool, cfg.workers))
+        problem = _build_problem(cfg)
         sums, seconds = _price(pool, cfg, problem, [N], repeats)
     run_ms = np.median(seconds, axis=1) * 1000.0
     return [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,35 @@ def test_barrier_coefficients_beta_matches_indicator_moment():
     assert abs(bc.gamma - bm.prob_max_exceeds(u, nu, 1.0)) < 1e-12
     assert 0.0 <= bc.gamma <= 1.0
     assert np.all(np.isfinite(bc.a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 119, 120, 2000])
+def test_quadrature_blocks_bit_identical_for_any_block_size(n, monkeypatch):
+    # at 2^15 nodes a block holds 118 of the 276-node time steps, so n = 119
+    # and 120 sit on the first block edge (one full block, then one more of
+    # a single time), 2000 has several blocks, 1 and 2 none or a single
+    # one, and at 2^30 nodes every case is one block
+    want = bm.barrier_coefficients(100.0, 0.04, 0.2, 1.0, n, 110.0)
+    for nodes in (2**12, 2**15, 2**16, 2**30):
+        monkeypatch.setattr(bm, "_CHUNK_NODES", nodes)
+        got = bm.barrier_coefficients(100.0, 0.04, 0.2, 1.0, n, 110.0)
+        assert np.array_equal(got.a, want.a), (n, nodes)
+        assert np.array_equal(got.beta, want.beta), (n, nodes)
+        assert got.gamma == want.gamma, (n, nodes)
+
+
+def test_quadrature_memory_bounded_by_its_blocks():
+    # at n = 2000 the quadrature's blocks of time steps keep its traced peak
+    # near 2 MiB; as one block it peaked at 18.5 MiB
+    args = (100.0, 0.04, 0.2, 1.0, 2000, 110.0)
+    bm.barrier_coefficients(*args)  # scipy.special imported outside the measurement
+    tracemalloc.start()
+    try:
+        bm.barrier_coefficients(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_barrier_coefficients_validation():

@@ -16,7 +16,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmcpricer import brownian_max as bm
 from qmcpricer import cli, harness, rng
 from qmcpricer.payoffs import basket_paths, log_drift
 from qmcpricer.regression import asian_spec, logexp_coefficients
@@ -86,6 +85,12 @@ def test_config_validation():
         _cfg(workers=0)
     with pytest.raises(ValueError, match="asset"):
         _cfg(payoff="basket", assets=0)
+    # a basket's rho is a correlation; a single asset never reads it
+    for bad in (1.0 + 2**-52, -1.5, 1e155):
+        with pytest.raises(ValueError, match="rho must lie in \\[-1, 1\\]"):
+            _cfg(payoff="basket", assets=2, rho=bad)
+    assert _cfg(payoff="basket", assets=2, rho=-1.0).rho == -1.0
+    assert _cfg(rho=2.0).rho == 2.0
     for name, bad in (("s0", 0.0), ("s0", -1.0), ("maturity", 0.0), ("maturity", -1.0)):
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             _cfg(**{name: bad})
@@ -348,25 +353,6 @@ def test_chain_construction_setup_independent_of_blas_threads(blas_threads):
         assert np.array_equal(updates[1][m], updates[2][m]), m
 
 
-# --- set-up blocks on the chunk pool ---------------------------------------
-
-
-@pytest.mark.parametrize("n", [1, 2, 238, 239, 2000])
-def test_setup_blocks_bit_identical_on_the_chunk_pool(n):
-    # 237 quadrature times make one block, so n = 238 and 239 sit on the
-    # first block edge (one full block, then one more of a single time),
-    # 2000 has several blocks, and 1 and 2 have none or a single one; one
-    # worker runs several blocks in order on its one pool thread
-    serial = bm.barrier_coefficients(100.0, 0.04, 0.2, 1.0, n, 110.0)
-    for workers in (1, 2, 3):
-        with harness._chunk_pool(workers) as pool:
-            pool_map = harness._pool_map(pool, workers)
-            pooled = bm.barrier_coefficients(100.0, 0.04, 0.2, 1.0, n, 110.0, pool_map)
-        assert np.array_equal(pooled.a, serial.a), (n, workers)
-        assert np.array_equal(pooled.beta, serial.beta), (n, workers)
-        assert pooled.gamma == serial.gamma, (n, workers)
-
-
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc")
 def test_chunk_pool_keeps_freed_memory_in_the_heap():
     # in a fresh process, after one run, a freed 16 MiB array is taken again
@@ -390,25 +376,10 @@ print(faults() - before)
     assert int(run.stdout) < 64, run.stdout
 
 
-def test_setup_blocks_run_under_the_callers_error_state():
-    # numpy's error state is per thread: a block on a pool thread must see
-    # the caller's, not numpy's defaults
-    with harness._chunk_pool(2) as pool:
-        with np.errstate(over="ignore", invalid="raise", divide="raise"):
-            want = np.geterr()
-            seen = list(
-                harness._pool_map(pool, 2)(
-                    lambda _: (np.geterr(), threading.current_thread()), range(8)
-                )
-            )
-    assert all(err == want for err, _ in seen), seen
-    assert any(thread is not threading.main_thread() for _, thread in seen)
-
-
 def test_cli_extreme_barrier_regression_same_for_one_and_two_workers():
     # the hit is so rare (gamma ~ 1e-83) that the quadrature's terms under-
-    # and overflow; with warnings as errors, one worker and two (3 quadrature
-    # blocks on the pool) must print the same lines and exit alike
+    # and overflow; with warnings as errors, one worker and two (8 chunks on
+    # the pool) must print the same lines and exit alike
     argv = [
         "-W", "error::RuntimeWarning", "-m", "qmcpricer", "price",
         "--payoff", "digital-barrier", "--barrier", "200", "--sigma", "0.01", "--rate", "0.5",
@@ -422,8 +393,8 @@ def test_cli_extreme_barrier_regression_same_for_one_and_two_workers():
 
 def test_one_block_setup_starts_no_thread(monkeypatch):
     # criterion 8's asian n = 250 methods: at N = 1 there is one chunk, and
-    # every set-up is one block or none, so all of it runs on the caller's
-    # thread and its times stay as they were
+    # every set-up runs on the caller's thread, the barrier quadrature's
+    # blocks of time steps included
     cfg = _cfg(methods=["forward", "regression", "pca", "lt"], n=250, paths=[1], workers=2)
     started = []
     real = threading.Thread.start
@@ -434,7 +405,7 @@ def test_one_block_setup_starts_no_thread(monkeypatch):
     harness.run_experiment(
         replace(cfg, payoff="digital-barrier", methods=["regression", "pca"], n=601, barrier=110.0)
     )
-    assert started  # three quadrature blocks go to the pool
+    assert started == []  # six quadrature blocks, on the calling thread
 
 
 def test_pca_factor_starts_no_thread(monkeypatch):
@@ -447,34 +418,6 @@ def test_pca_factor_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or real(self))
     harness.run_experiment(cfg)
     assert started == []
-
-
-@pytest.mark.parametrize(
-    "error, code",
-    [(harness.UnsupportedCombinationError, 3), (FloatingPointError, 4)],
-)
-@pytest.mark.parametrize("method, owner, attr", [("regression", bm, "_hit_prob")])
-def test_setup_block_errors_reach_the_cli_with_their_type(
-    blas_threads, monkeypatch, capsys, error, code, method, owner, attr
-):
-    # a block raising on a pool thread: the quadrature's hitting probability
-    real, raised_on = getattr(owner, attr), []
-
-    def fail_off_main(*args, **kwargs):
-        if threading.current_thread() is threading.main_thread():
-            return real(*args, **kwargs)
-        raised_on.append(threading.current_thread())
-        raise error("set-up block failed")
-
-    monkeypatch.setattr(owner, attr, fail_off_main)
-    argv = [
-        "price", "--payoff", "digital-barrier", "--barrier", "110", "--n", "601",
-        "--paths", "64", "--batches", "2", "--workers", "2", "--method", method,
-    ]
-    assert cli.main(argv) == code
-    assert raised_on
-    assert "set-up block failed" in capsys.readouterr().err
-    assert blas_threads() == 2
 
 
 def test_peak_memory_flat_in_paths():
@@ -561,8 +504,8 @@ def _price_space_problem(build):
     """``build`` with the barrier payoffs priced as before they read
     log-prices: paths through ``basket_paths``, the hit decided on prices."""
 
-    def problem_for(cfg, map=map):
-        problem = build(cfg, map)
+    def problem_for(cfg):
+        problem = build(cfg)
         S0 = np.array([cfg.s0])
         drift = log_drift(harness._PAYOFF_TABLE[cfg.payoff].market(cfg), cfg.rate)
         disc = math.exp(-cfg.rate * cfg.maturity)
@@ -870,6 +813,17 @@ def test_cli_repeated_method_exits_2(capsys):
         assert "methods must be distinct" in capsys.readouterr().err
 
 
+def test_cli_timing_nonfinite_estimate_exits_4_like_price(capsys):
+    # at rate 1e300 the discount factor underflows and the payoff overflows
+    flags = ["--payoff", "asian-barrier", "--barrier", "110", "--rate", "1e300", "--n", "8",
+             "--paths", "64"]
+    for argv in (["timing", "--repeats", "1"], ["price", "--batches", "2"]):
+        assert cli.main(argv + flags) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: non-finite estimate\n"
+
+
 def test_cli_zero_workers_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["price", "--n", "8", "--paths", "64", "--batches", "2", "--workers", "0"])
@@ -903,6 +857,9 @@ def test_cli_bad_basket_inputs_exit_2():
         ["coeffs", "--payoff", "basket", "--assets", "0"],
         ["price", "--payoff", "basket", "--assets", "2", "--sigma-min", "-0.1",
          "--n", "8", "--paths", "64", "--batches", "2"],
+        # before rho was refused, cholesky_psd's overflow warnings came first
+        ["price", "--payoff", "basket", "--rho", "1e155", "--assets", "2", "--n", "4",
+         "--paths", "16", "--batches", "2", "--method", "forward"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -983,10 +940,35 @@ print(json.dumps(seen))
                     (0, False), (0, True)]
 
 
+def test_setup_ms_excludes_the_scipy_special_import():
+    # a fresh process's first timing_report: scipy.special is imported
+    # before the first method's set-up clock starts, so that method's
+    # setup_ms does not carry the import (about 0.3 s)
+    code = """
+import sys, time, types
+from qmcpricer import harness
+cfg = harness.ExperimentConfig(
+    payoff="digital-barrier", methods=["regression", "forward"], n=64, paths=[64], batches=2,
+    barrier=110.0,
+)
+seen = []
+def perf_counter():
+    seen.append("scipy.special" in sys.modules)
+    return time.perf_counter()
+before = "scipy.special" in sys.modules
+harness.time = types.SimpleNamespace(perf_counter=perf_counter)
+harness.timing_report(cfg, repeats=1)
+print(before, seen[0])
+"""
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_cli_first_special_function_calls_on_the_pool_threads(capsys):
-    # 4 chunks and the quadrature's 9 blocks run on two pool threads, so a
-    # fresh process first imports scipy.special for ndtr and erfcx (the
-    # quadrature) and ndtri (the chunks) off the main thread
+    # 4 chunks run on two pool threads, so a fresh process first calls
+    # ndtri off the main thread, after set-up imported scipy.special and
+    # ran the quadrature's ndtr and erfcx on it
     argv = [
         "price", "--payoff", "digital-barrier", "--barrier", "110", "--n", "2000",
         "--paths", "512", "--batches", "2", "--workers", "2", "--method", "regression",
