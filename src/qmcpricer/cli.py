@@ -17,6 +17,9 @@ scipy.special is imported on first use, by the calls that evaluate a
 normal quantile or a barrier probability: a run that prices, and coeffs of
 a barrier payoff.  A call refused for its flags or its method (exit 2 or
 3), --help, table1 and Asian or basket coeffs never import it.
+
+The market flags and their defaults come from ExperimentConfig's fields,
+which also refuse a bad request (exit 2, then 3) before any set-up.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from .harness import (
     METHODS,
@@ -35,7 +38,6 @@ from .harness import (
     run_experiment,
     supported_methods,
     timing_report,
-    usable_cores,
     write_raw_csv,
     write_summary_csv,
 )
@@ -59,25 +61,13 @@ def _add_market_flags(p: argparse.ArgumentParser) -> None:
         help="repeatable; default depends on the subcommand",
     )
     p.add_argument("--n", type=int, default=64, help="time steps per asset")
-    p.add_argument("--batches", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--s0", type=float, default=100.0)
-    p.add_argument("--strike", type=float, default=100.0)
-    p.add_argument("--rate", type=float, default=0.04)
-    p.add_argument("--sigma", type=float, default=0.2)
-    p.add_argument("--maturity", type=float, default=1.0)
-    p.add_argument("--barrier", type=float, default=None)
-    p.add_argument("--assets", type=int, default=10)
-    p.add_argument("--rho", type=float, default=0.05)
-    p.add_argument("--sigma-min", type=float, default=0.1)
-    p.add_argument("--sigma-max", type=float, default=0.3)
-    p.add_argument("--lt-columns", type=int, default=25)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=usable_cores(),
-        help="threads over each batch's row chunks; estimates do not depend on it",
-    )
+    # one flag per remaining config field, in field order, with its default
+    for f in fields(ExperimentConfig):
+        if f.name not in ("payoff", "methods", "n", "paths"):
+            default = f.default_factory() if f.default is MISSING else f.default
+            kind = float if default is None else type(default)
+            flag = "--" + f.name.replace("_", "-")
+            p.add_argument(flag, type=kind, default=default, help=f.metadata.get("help"))
     p.add_argument("--full-scale", action="store_true", help="use the full per-payoff n")
 
 
@@ -141,6 +131,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_timing(args) -> int:
+    if args.repeats < 1:  # a bad flag (exit 2) before a refused method (exit 3)
+        raise ValueError(f"repeats must be at least 1, got {args.repeats}")
     methods = args.method or supported_methods(args.payoff, ["forward", "regression", "pca", "lt"])
     cfg = _config(args, [args.paths], methods)
     report = timing_report(cfg, repeats=args.repeats)

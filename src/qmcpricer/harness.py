@@ -9,14 +9,17 @@ states once and, batch by batch, turns them into normals in one reused
 buffer and prices every method on them, keeping only the payoff sums over
 each prefix N.  The sums are added in chunk order, so the estimates do not
 depend on the thread count or schedule, and memory does not grow with N.
-``timing_report`` builds through the same set-up (``_build_problem``) and
-prices through the same loop (``_price``), its repeats being batches.
-While a pool of more than one thread runs, OpenBLAS is held at one thread
-for the whole process, so PCA's per-chunk products do not start BLAS
-threads that compete with the chunk threads.  The first pool of a process
-raises glibc's malloc thresholds (``_keep_freed_memory``), so the chunks'
-freed arrays are reused from the heap instead of being page-faulted
-afresh.
+One call, ``_build_and_price``, opens the pool, builds every method's
+construction (``_build_problem``) and runs the chunk loop;
+``run_experiment`` and ``timing_report`` each make it once, the timing
+repeats being batches.  ``ExperimentConfig`` refuses a bad request before
+that call: a bad flag first (ValueError), then a method the payoff cannot
+price (UnsupportedCombinationError).  While a pool of more than one thread
+runs, OpenBLAS is held at one thread for the whole process, so PCA's
+per-chunk products do not start BLAS threads that compete with the chunk
+threads.  The first pool of a process raises glibc's malloc thresholds
+(``_keep_freed_memory``), so the chunks' freed arrays are reused from the
+heap instead of being page-faulted afresh.
 
 All set-up, the barrier quadrature included, runs on the calling thread.
 
@@ -205,9 +208,14 @@ class ExperimentConfig:
     sigma_min: float = 0.1
     sigma_max: float = 0.3
     lt_columns: int = 25
-    workers: int = field(default_factory=usable_cores)
+    workers: int = field(
+        default_factory=usable_cores,
+        metadata={"help": "threads over each batch's row chunks; estimates do not depend on it"},
+    )
 
     def __post_init__(self):
+        """Refuse bad flags (ValueError), then a method the payoff cannot
+        price (UnsupportedCombinationError), before any set-up is paid for."""
         if self.payoff not in PAYOFFS:
             raise ValueError(f"unknown payoff {self.payoff!r}")
         for m in self.methods:
@@ -219,6 +227,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if not self.paths:
+            raise ValueError("need at least one path count")
         for N in self.paths:
             if N < 1 or N & (N - 1):
                 raise ValueError("path counts must be powers of two")
@@ -259,6 +269,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"path dimension {dim} exceeds the Sobol table's {rng.max_dimension()} dimensions"
             )
+        for m in self.methods:
+            if not supported_methods(self.payoff, [m]):
+                msg = f"method {m!r} unsupported for payoff {self.payoff!r}"
+                raise UnsupportedCombinationError(msg)
 
 
 @dataclass
@@ -389,16 +403,6 @@ def supported_methods(payoff: str, methods) -> list[str]:
     return [m for m in methods if m != "lt" or lt_ok]
 
 
-def _refuse_unsupported(cfg: ExperimentConfig) -> None:
-    """Raise UnsupportedCombinationError for the first method of the config
-    that cannot price its payoff.  Runs before any set-up, so a refused
-    call builds nothing, opens no pool and imports no scipy."""
-    supported = supported_methods(cfg.payoff, cfg.methods)
-    for m in cfg.methods:
-        if m not in supported:
-            raise UnsupportedCombinationError(f"method {m!r} unsupported for payoff {cfg.payoff!r}")
-
-
 def regression_vector_for(cfg: ExperimentConfig) -> RegressionVector:
     """The coefficient vector a the regression chain first reflects onto.
 
@@ -472,66 +476,62 @@ def _map_chunks(pool, workers: int, chunk: Callable, starts: Sequence):
         yield queued.popleft().result()
 
 
-def _price(pool, cfg: ExperimentConfig, problem: _Problem, paths: list[int], batches: int):
-    """The run loop, in row chunks on ``pool``, batch b under the shift of
-    (cfg.seed, b): the (method, batch, N) payoff sums over points 0..N-1,
-    added in chunk order, and each (method, batch)'s evaluation seconds,
-    summed over the chunks.  Chunk bounds depend on the dimension alone, so
-    the sums do not depend on the threads."""
-    methods, dim, max_n, rows = cfg.methods, problem.dim, max(paths), _chunk_rows(problem.dim)
-    shifts = [rng.shift_vector(cfg.seed, b, dim) for b in range(batches)]
-    sums = np.zeros((len(methods), batches, len(paths)))
-    seconds = np.zeros((len(methods), batches))
+def _build_and_price(cfg: ExperimentConfig, paths: list[int], batches: int):
+    """Open the chunk pool, build every method's construction
+    (``_build_problem``) under its BLAS cap, then run the loop in row chunks,
+    batch b under the shift of (cfg.seed, b).  Returns the problem, the
+    (method, batch, N) payoff sums over points 0..N-1, added in chunk order,
+    and each (method, batch)'s evaluation seconds, summed over the chunks.
+    Chunk bounds depend on the dimension alone, so the sums do not depend on
+    the threads."""
+    with _chunk_pool(cfg.workers) as pool:
+        problem = _build_problem(cfg)
+        methods, dim, max_n = cfg.methods, problem.dim, max(paths)
+        rows = _chunk_rows(dim)
+        shifts = [rng.shift_vector(cfg.seed, b, dim) for b in range(batches)]
+        sums = np.zeros((len(methods), batches, len(paths)))
+        seconds = np.zeros((len(methods), batches))
 
-    def chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
-        points = rng.sobol_block(min(rows, max_n - lo), dim, start=lo)
-        X = np.empty(points.shape)  # every batch's normals, in turn
-        part, part_s = np.zeros_like(sums), np.zeros_like(seconds)
-        for b, shift in enumerate(shifts):
-            rng.shifted_normals(points, shift, out=X)
-            for i, m in enumerate(methods):
-                t0 = time.perf_counter()
-                v = problem.evaluate(problem.constructions[m], X)
-                part_s[i, b] = time.perf_counter() - t0
-                # chunk sizes and N are powers of two, so N - lo > 0 takes
-                # the whole chunk or, when N is below a chunk, a prefix
-                for j, N in enumerate(paths):
-                    if lo < N:
-                        part[i, b, j] = v[: N - lo].sum()
-        return part, part_s
+        def chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
+            points = rng.sobol_block(min(rows, max_n - lo), dim, start=lo)
+            X = np.empty(points.shape)  # every batch's normals, in turn
+            part, part_s = np.zeros_like(sums), np.zeros_like(seconds)
+            for b, shift in enumerate(shifts):
+                rng.shifted_normals(points, shift, out=X)
+                for i, m in enumerate(methods):
+                    t0 = time.perf_counter()
+                    v = problem.evaluate(problem.constructions[m], X)
+                    part_s[i, b] = time.perf_counter() - t0
+                    # chunk sizes and N are powers of two, so N - lo > 0 takes
+                    # the whole chunk or, when N is below a chunk, a prefix
+                    for j, N in enumerate(paths):
+                        if lo < N:
+                            part[i, b, j] = v[: N - lo].sum()
+            return part, part_s
 
-    for part, part_s in _map_chunks(pool, cfg.workers, chunk, range(0, max_n, rows)):
-        sums += part
-        seconds += part_s
-    return sums, seconds
+        for part, part_s in _map_chunks(pool, cfg.workers, chunk, range(0, max_n, rows)):
+            sums += part
+            seconds += part_s
+    return problem, sums, seconds
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[RawRow], list[BatchStats]]:
     """Batched randomized-QMC estimates for every (method, N) in the config:
-    the chunks' payoff sums over points 0..N-1, added in chunk order, over N."""
-    _refuse_unsupported(cfg)
-    methods, paths = cfg.methods, cfg.paths
-    with _chunk_pool(cfg.workers) as pool:
-        problem = _build_problem(cfg)
-        sums, seconds = _price(pool, cfg, problem, paths, cfg.batches)
-
-    raw = [
-        RawRow(cfg.payoff, m, cfg.n, N, b, float(sums[i, b, j] / N), seconds[i, b] * 1000.0)
-        for i, m in enumerate(methods)
-        for b in range(cfg.batches)
-        for j, N in enumerate(paths)
-    ]
-    raw.sort(key=lambda r: (r.payoff, r.method, r.N, r.batch))
-
-    stats = []
-    for method in sorted(set(r.method for r in raw)):
+    the chunks' payoff sums over points 0..N-1, added in chunk order, over N.
+    Rows come in (method, N, batch) order and stats in (method, N) order."""
+    _, sums, seconds = _build_and_price(cfg, cfg.paths, cfg.batches)
+    raw, stats = [], []
+    for method in sorted(cfg.methods):
+        i = cfg.methods.index(method)
         for N in sorted(cfg.paths):
-            ests = [r.estimate for r in raw if r.method == method and r.N == N]
+            ests = [float(e) for e in sums[i, :, cfg.paths.index(N)] / N]
+            raw += [
+                RawRow(cfg.payoff, method, cfg.n, N, b, e, seconds[i, b] * 1000.0)
+                for b, e in enumerate(ests)
+            ]
             mean = sum(ests) / len(ests)
             var = sum((e - mean) ** 2 for e in ests) / (len(ests) - 1)
-            stats.append(
-                BatchStats(cfg.payoff, method, cfg.n, N, mean, math.sqrt(var), len(ests))
-            )
+            stats.append(BatchStats(cfg.payoff, method, cfg.n, N, mean, math.sqrt(var), len(ests)))
     return raw, stats
 
 
@@ -555,28 +555,22 @@ def write_summary_csv(stats: list[BatchStats], path: str) -> None:
             fh.write(f"{s.payoff},{s.method},{s.n},{s.N},{s.mean!r},{s.stddev!r},{s.batches}\n")
 
 
-def timing_report(
-    cfg: ExperimentConfig, repeats: int = 5
-) -> list[dict]:
+def timing_report(cfg: ExperimentConfig, repeats: int = 5) -> list[dict]:
     """Set-up time and median pricing time per method at N = max(cfg.paths).
 
-    The repeats are batches ``0 .. repeats-1`` of ``run_experiment``'s run
-    loop (``_price``): each chunk turns its points into normals once a
-    batch and prices every method on them, so load on the machine moves
-    every method alike.  A method's run time is the median over the
-    batches of its evaluation seconds (construction, paths and payoff),
-    summed over the chunk threads; its estimate is batch 0's.  Set-up
-    (determining the transform) is the method's build time in
-    ``run_experiment``'s one set-up path (``_build_problem``), and is
-    included in the reported total.
+    The repeats are batches ``0 .. repeats-1`` of ``run_experiment``'s one
+    build-and-price call (``_build_and_price``): each chunk turns its points
+    into normals once a batch and prices every method on them, so load on
+    the machine moves every method alike.  A method's run time is the
+    median over the batches of its evaluation seconds (construction, paths
+    and payoff), summed over the chunk threads; its estimate is batch 0's.
+    Set-up (determining the transform) is the method's build time in that
+    call's ``_build_problem``, and is included in the reported total.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
-    _refuse_unsupported(cfg)
     N = max(cfg.paths)
-    with _chunk_pool(cfg.workers) as pool:
-        problem = _build_problem(cfg)
-        sums, seconds = _price(pool, cfg, problem, [N], repeats)
+    problem, sums, seconds = _build_and_price(cfg, [N], repeats)
     run_ms = np.median(seconds, axis=1) * 1000.0
     return [
         {

@@ -4,6 +4,7 @@ import math
 import os
 import pathlib
 import platform
+import random
 import subprocess
 import sys
 import threading
@@ -11,7 +12,7 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -166,29 +167,25 @@ def test_one_asset_basket_prices_as_the_single_asset():
 
 
 def test_unsupported_lt_barrier():
-    cfg = _cfg(payoff="digital-barrier", methods=["lt"], barrier=110.0)
     with pytest.raises(harness.UnsupportedCombinationError, match="unsupported"):
-        harness.run_experiment(cfg)
-    cfg = _cfg(payoff="asian-barrier", methods=["lt"], barrier=110.0)
+        _cfg(payoff="digital-barrier", methods=["lt"], barrier=110.0)
     with pytest.raises(harness.UnsupportedCombinationError):
-        harness.run_experiment(cfg)
+        _cfg(payoff="asian-barrier", methods=["lt"], barrier=110.0)
 
 
 def test_unsupported_method_refused_before_any_set_up(monkeypatch):
-    # lt listed after regression: the refusal comes before the pool opens
-    # and before the barrier quadrature or the normals are computed
+    # lt listed after regression: the config refuses it when built, before
+    # the pool opens and before the barrier quadrature or the normals are
+    # computed
     def never(*args, **kwargs):
         raise AssertionError("set-up ran before the refusal")
 
     for name in ("_chunk_pool", "barrier_coefficients", "_build_problem"):
         monkeypatch.setattr(harness, name, never)
     monkeypatch.setattr(rng, "shifted_normals", never)
-    cfg = _cfg(payoff="digital-barrier", methods=["regression", "lt"], barrier=110.0)
     message = "method 'lt' unsupported for payoff 'digital-barrier'"
     with pytest.raises(harness.UnsupportedCombinationError, match=message):
-        harness.run_experiment(cfg)
-    with pytest.raises(harness.UnsupportedCombinationError, match=message):
-        harness.timing_report(cfg, repeats=1)
+        _cfg(payoff="digital-barrier", methods=["regression", "lt"], barrier=110.0)
 
 
 def test_rows_sorted():
@@ -1095,6 +1092,112 @@ def test_cli_sobol_block_out_of_memory_exits_2(monkeypatch, capsys):
     assert not any(on_main) and 0 < len(on_main) <= 2 * harness.usable_cores() + 1, on_main
     lines = [line for line in capsys.readouterr().err.splitlines() if "out of memory" in line]
     assert lines == ["qmcpricer: error: out of memory"], lines
+
+
+def test_empty_path_list_refused_before_any_set_up(monkeypatch):
+    # an empty grid has no N to price: the config refuses it when built,
+    # before every construction (the barrier quadrature included) is made
+    def never(*args, **kwargs):
+        raise AssertionError("set-up ran before the refusal")
+
+    monkeypatch.setattr(harness, "_build_problem", never)
+    for payoff, barrier in (("asian", None), ("digital-barrier", 110.0)):
+        with pytest.raises(ValueError, match="at least one path count"):
+            harness.run_experiment(_cfg(payoff=payoff, barrier=barrier, paths=[]))
+
+
+def test_cli_convergence_keeps_its_own_empty_grid_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["convergence", "--n", "4", "--log2-min", "6", "--log2-max", "5"])
+    assert exc.value.code == 2
+    assert "--log2-min must not exceed --log2-max" in capsys.readouterr().err
+
+
+def test_cli_bad_flag_refused_before_unsupported_method(capsys):
+    # lt on a barrier payoff exits 3, but a bad flag in the same call exits 2
+    for argv, message in (
+        (["price", "--payoff", "digital-barrier"], "requires a barrier level"),
+        (["timing", "--payoff", "asian-barrier", "--barrier", "110", "--repeats", "0"],
+         "repeats must be at least 1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--method", "lt", "--n", "4", "--paths", "16"])
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
+
+
+def test_cli_market_flags_carry_the_config_defaults():
+    # the flags are made from ExperimentConfig's fields, so a command given
+    # no flags carries every field's default, of the same type
+    names = [f.name for f in fields(harness.ExperimentConfig)]
+    later = fields(harness.ExperimentConfig)[names.index("paths") + 1 :]
+    for sub in ("price", "convergence", "timing", "coeffs"):
+        args = cli.build_parser().parse_args([sub])
+        for f in later:
+            want = harness.usable_cores() if f.name == "workers" else f.default
+            got = getattr(args, f.name)
+            assert got == want and type(got) is type(want), (sub, f.name, got, want)
+
+
+# Flag values for the seeded CLI sweep: edge values and a few ordinary ones.
+_SWEEP_FLOATS = ("0", "-0.0", "1e-300", "-1", "1e300", "1e155", "700", "nan", "inf",
+                 "0.04", "0.2", "1", "90", "110")
+_SWEEP_FLAGS = {
+    **{flag: _SWEEP_FLOATS for flag in ("--s0", "--strike", "--rate", "--sigma", "--maturity",
+                                        "--barrier", "--rho", "--sigma-min", "--sigma-max")},
+    "--batches": ("-1", "0", "1", "2", "3", "nan"),
+    "--seed": ("-1", "0", "7", str(2**64), "1e300"),
+    "--assets": ("-1", "0", "1", "2", "3"),
+    "--lt-columns": ("-1", "0", "1", "25", "700"),
+}
+
+
+def _sweep_argv(gen: random.Random) -> list[str]:
+    """One seeded CLI call: a subcommand, payoff, n and workers, up to two
+    methods and its own size flags, then up to three market flags."""
+    command = gen.choice(("price", "coeffs", "timing", "convergence"))
+    payoff = gen.choice(harness.PAYOFFS)
+    argv = [command, "--payoff", payoff, "--n", str(gen.randint(0, 17)),
+            "--workers", gen.choice(("1", "2"))]
+    if "barrier" in payoff and gen.random() < 0.9:
+        argv += ["--barrier", "110"]
+    if command != "coeffs":
+        argv += [a for m in gen.sample(harness.METHODS, gen.randint(0, 2)) for a in ("--method", m)]
+    if command in ("price", "timing"):
+        argv += ["--paths", gen.choice(("0", "1", "16", "32", "64"))]
+    if command == "timing":
+        argv += ["--repeats", gen.choice(("0", "1", "2", "3"))]
+    if command == "convergence":
+        lo = gen.randint(0, 6)  # sometimes above --log2-max
+        argv += ["--log2-min", str(lo), "--log2-max", str(gen.randint(max(lo - 1, 0), 6))]
+    for flag in gen.sample(sorted(_SWEEP_FLAGS), gen.randint(0, 3)):
+        value = gen.choice(_SWEEP_FLAGS[flag])
+        argv += [f"{flag}={value}"] if value.startswith("-") else [flag, value]
+    return argv
+
+
+def test_cli_seeded_sweep_prices_or_refuses_with_one_line(capsys):
+    # every accepted call prices with finite numbers (exit 0) or is refused
+    # (exit 2, 3 or 4) with one stderr line besides argparse's usage, and
+    # prints no warning: warnings are errors here
+    gen, codes = random.Random(7), []
+    for _ in range(400):
+        argv = _sweep_argv(gen)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = capsys.readouterr()
+        codes.append(code)
+        if code == 0:
+            assert err == "" and "nan" not in out and "inf" not in out, (argv, out, err)
+        else:
+            assert code in (2, 3, 4), (argv, code, err)
+            lines = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+            assert len(lines) == 1 and out == "", (argv, code, out, err)
+    assert set(codes) == {0, 2, 3, 4}, codes
 
 
 def test_benchmark_trace_hooks_resolve():
