@@ -13,13 +13,15 @@ method) combination, 4 numerical failure (a non-finite estimate from price,
 convergence or timing, a non-finite regression coefficient, or a float
 overflow).
 
-scipy.special is imported on first use, by the calls that evaluate a
-normal quantile or a barrier probability: a run that prices, and coeffs of
-a barrier payoff.  A call refused for its flags or its method (exit 2 or
-3), --help, table1 and Asian or basket coeffs never import it.
-
 The market flags and their defaults come from ExperimentConfig's fields,
-which also refuse a bad request (exit 2, then 3) before any set-up.
+which also refuse a bad request (exit 2, then 3) before any set-up.  This
+module imports only ``config``, which needs no numpy; a command imports
+``harness`` or ``regression`` once its request is built.  So a call
+refused for its flags or its method (exit 2 or 3) and --help never import
+numpy.  scipy.special is imported on first use, by the calls that
+evaluate a normal quantile or a barrier probability: a run that prices,
+and coeffs of a barrier payoff; table1 and Asian or basket coeffs import
+numpy but not scipy.special.
 """
 
 from __future__ import annotations
@@ -29,19 +31,13 @@ import math
 import sys
 from dataclasses import MISSING, fields
 
-from .harness import (
+from .config import (
     METHODS,
     PAYOFFS,
     ExperimentConfig,
     UnsupportedCombinationError,
-    regression_vector_for,
-    run_experiment,
     supported_methods,
-    timing_report,
-    write_raw_csv,
-    write_summary_csv,
 )
-from .regression import asian_spec, variance_report, variance_report_continuum
 
 # full-scale path dimensions per payoff, behind --full-scale
 FULL_SCALE_N = {
@@ -88,12 +84,16 @@ def _nonfinite(estimates) -> bool:
 
 
 def _run(args, paths: list[int], methods: list[str], write) -> int:
-    """Run, refuse a non-finite estimate (exit 4), write CSV, print the summary."""
-    raw, stats = run_experiment(_config(args, paths, methods))
+    """Run, refuse a non-finite estimate (exit 4), write CSV with
+    ``write(harness, raw, stats)``, print the summary."""
+    cfg = _config(args, paths, methods)
+    from . import harness
+
+    raw, stats = harness.run_experiment(cfg)
     if _nonfinite(s.mean for s in stats):
         return 4
     if args.out:
-        write(raw, stats)
+        write(harness, raw, stats)
     for s in stats:
         print(
             f"{s.payoff} {s.method} n={s.n} N={s.N} "
@@ -104,7 +104,7 @@ def _run(args, paths: list[int], methods: list[str], write) -> int:
 
 def _cmd_price(args) -> int:
     methods = args.method or ["forward"]
-    return _run(args, [args.paths], methods, lambda raw, _: write_raw_csv(raw, args.out))
+    return _run(args, [args.paths], methods, lambda h, raw, _: h.write_raw_csv(raw, args.out))
 
 
 def _cmd_convergence(args) -> int:
@@ -112,13 +112,15 @@ def _cmd_convergence(args) -> int:
         raise ValueError("--log2-min must not exceed --log2-max")
     methods = args.method or ["forward", "regression"]
     paths = [2**k for k in range(args.log2_min, args.log2_max + 1)]
-    return _run(args, paths, methods, lambda _, stats: write_summary_csv(stats, args.out))
+    return _run(args, paths, methods, lambda h, _, stats: h.write_summary_csv(stats, args.out))
 
 
 def _cmd_table1(args) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
+    from .regression import asian_spec, variance_report, variance_report_continuum
+
     print("# residual variance fraction (V - |a|^2) / V for the Asian payoff, T=1")
     print(f"# r sigma2 discrete_n{n} continuum")
     for r in (0.1, 0.2, 0.3):
@@ -135,6 +137,8 @@ def _cmd_timing(args) -> int:
         raise ValueError(f"repeats must be at least 1, got {args.repeats}")
     methods = args.method or supported_methods(args.payoff, ["forward", "regression", "pca", "lt"])
     cfg = _config(args, [args.paths], methods)
+    from .harness import timing_report
+
     report = timing_report(cfg, repeats=args.repeats)
     if _nonfinite(row["estimate"] for row in report):
         return 4
@@ -149,6 +153,8 @@ def _cmd_timing(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     cfg = _config(args, [2], ["regression"])
+    from .harness import regression_vector_for
+
     rv = regression_vector_for(cfg)
     if not math.isfinite(rv.norm):  # an inf or NaN coefficient makes the norm one
         print("numerical failure: non-finite coefficients", file=sys.stderr)

@@ -12,9 +12,13 @@ depend on the thread count or schedule, and memory does not grow with N.
 One call, ``_build_and_price``, opens the pool, builds every method's
 construction (``_build_problem``) and runs the chunk loop;
 ``run_experiment`` and ``timing_report`` each make it once, the timing
-repeats being batches.  ``ExperimentConfig`` refuses a bad request before
-that call: a bad flag first (ValueError), then a method the payoff cannot
-price (UnsupportedCombinationError).  While a pool of more than one thread
+repeats being batches; with no method it returns before the pool and the
+set-up.  ``ExperimentConfig`` refuses a bad request before that call: a
+bad flag first (ValueError), then a method the payoff cannot price
+(UnsupportedCombinationError).  It lives in ``config``, with the payoff
+and method names and the payoffs' facts, and this module re-exports it;
+the payoff and method tables here hold only the callables, keyed by
+config's names.  While a pool of more than one thread
 runs, OpenBLAS is held at one thread for the whole process, so PCA's
 per-chunk products do not start BLAS threads that compete with the chunk
 threads.  The first pool of a process raises glibc's malloc thresholds
@@ -40,13 +44,23 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import rng
 from .brownian_max import barrier_coefficients
+# the run request and its names are config's; harness re-exports them
+from .config import (
+    METHODS,
+    PAYOFF_FACTS,
+    PAYOFFS,
+    ExperimentConfig,
+    UnsupportedCombinationError,
+    supported_methods,
+    usable_cores,
+)
 from .lt import lt_transform
 from .payoffs import (
     average_call,
@@ -94,14 +108,6 @@ _CHUNK_ELEMENTS = 2**17
 # 64 read 1-6 % slower in six of the nine medians for 3 MiB less on
 # digital-2000.
 _MIN_CHUNK_ROWS = 128
-
-
-def usable_cores() -> int:
-    """Cores this process may run on: the default number of worker threads."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 @functools.cache
@@ -185,96 +191,6 @@ def _chunk_pool(workers: int):
                     set_(_blas_saved_threads)
 
 
-class UnsupportedCombinationError(ValueError):
-    """The (payoff, method) pair has no defined construction."""
-
-
-@dataclass
-class ExperimentConfig:
-    payoff: str
-    methods: list[str]
-    n: int
-    paths: list[int]
-    batches: int = 32
-    seed: int = 0
-    s0: float = 100.0
-    strike: float = 100.0
-    rate: float = 0.04
-    sigma: float = 0.2
-    maturity: float = 1.0
-    barrier: float | None = None
-    assets: int = 10
-    rho: float = 0.05
-    sigma_min: float = 0.1
-    sigma_max: float = 0.3
-    lt_columns: int = 25
-    workers: int = field(
-        default_factory=usable_cores,
-        metadata={"help": "threads over each batch's row chunks; estimates do not depend on it"},
-    )
-
-    def __post_init__(self):
-        """Refuse bad flags (ValueError), then a method the payoff cannot
-        price (UnsupportedCombinationError), before any set-up is paid for."""
-        if self.payoff not in PAYOFFS:
-            raise ValueError(f"unknown payoff {self.payoff!r}")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}")
-        if self.batches < 2:
-            raise ValueError("need at least 2 batches")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if not self.paths:
-            raise ValueError("need at least one path count")
-        for N in self.paths:
-            if N < 1 or N & (N - 1):
-                raise ValueError("path counts must be powers of two")
-            if N > rng.MAX_INDEX:
-                raise ValueError(
-                    f"path counts must not exceed the Sobol index limit 2^{rng.BITS}, got {N}"
-                )
-        if len(set(self.paths)) < len(self.paths):
-            raise ValueError(f"path counts must be distinct, got {self.paths}")
-        if len(set(self.methods)) < len(self.methods):
-            raise ValueError(f"methods must be distinct, got {self.methods}")
-        if self.lt_columns < 0:
-            raise ValueError(f"lt_columns must be nonnegative, got {self.lt_columns}")
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
-        row = _PAYOFF_TABLE[self.payoff]
-        positive = ()
-        if row.barrier:
-            if self.barrier is None:
-                raise ValueError(f"payoff {self.payoff!r} requires a barrier level")
-            positive = ("barrier", "sigma")  # the barrier moments need both
-        for f in fields(self):
-            v, pos = getattr(self, f.name), f.name in positive
-            if (isinstance(v, float) and not math.isfinite(v)) or (pos and not v > 0.0):
-                raise ValueError(f"{f.name} must be {'positive and ' * pos}finite, got {v!r}")
-        for name in ("s0", "maturity"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if row.basket and self.assets < 1:
-            raise ValueError("basket needs at least 1 asset")
-        if row.basket and not -1.0 <= self.rho <= 1.0:  # a correlation
-            raise ValueError(f"rho must lie in [-1, 1], got {self.rho!r}")
-        # the basket takes its vols from sigma_min and sigma_max, not sigma
-        if not row.basket and self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")
-        dim = row.dim(self)  # a market's correlation is O(assets^2)
-        if dim > rng.max_dimension():
-            raise ValueError(
-                f"path dimension {dim} exceeds the Sobol table's {rng.max_dimension()} dimensions"
-            )
-        for m in self.methods:
-            if not supported_methods(self.payoff, [m]):
-                msg = f"method {m!r} unsupported for payoff {self.payoff!r}"
-                raise UnsupportedCombinationError(msg)
-
-
 @dataclass
 class RawRow:
     payoff: str
@@ -321,22 +237,17 @@ def _basket_cov(cfg: ExperimentConfig) -> BasketCovSpec:
     return BasketCovSpec(m=cfg.assets, n=cfg.n, T=cfg.maturity, vols=vols, corr=corr)
 
 
+def _market(cfg: ExperimentConfig) -> BasketCovSpec:
+    """The payoff's market; a single asset is the one-asset basket."""
+    return _basket_cov(cfg) if PAYOFF_FACTS[cfg.payoff].basket else _single_cov(cfg)
+
+
 @dataclass(frozen=True)
 class _PayoffRow:
     paths: Callable  # (S0, drift, construction output) -> the (..., m, n) paths the reduction reads
     reduction: Callable  # (paths, S0, strike, barrier) -> undiscounted payoff per path
     providers: tuple  # cfg -> coefficient vector of each smooth part, in chain order
-    lt_spec: Callable | None  # cfg -> log-exp spec for LT; None refuses the method
-    barrier: bool = False  # needs a positive barrier level and sigma
-    basket: bool = False  # assets with vols sigma_min..sigma_max; else one asset of vol sigma
-
-    def market(self, cfg: ExperimentConfig) -> BasketCovSpec:
-        """The payoff's market; a single asset is the one-asset basket."""
-        return _basket_cov(cfg) if self.basket else _single_cov(cfg)
-
-    def dim(self, cfg: ExperimentConfig) -> int:
-        """The market's path dimension m n, without building it."""
-        return cfg.assets * cfg.n if self.basket else cfg.n
+    lt_spec: Callable | None  # cfg -> log-exp spec for LT, None where config's facts refuse LT
 
 
 # Path steps, coefficient providers and log-exp specs call the library
@@ -352,7 +263,7 @@ def _log_prices(S0: np.ndarray, drift: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _average_spec(cfg: ExperimentConfig):
     """Log-exp spec of the average price over the payoff's assets and steps."""
-    cov = _PAYOFF_TABLE[cfg.payoff].market(cfg)
+    cov = _market(cfg)
     return basket_spec(cov, np.full(cov.m, cfg.s0), cfg.rate)
 
 
@@ -364,13 +275,12 @@ def _barrier_a(cfg: ExperimentConfig) -> np.ndarray:
     return barrier_coefficients(cfg.s0, cfg.rate, cfg.sigma, cfg.maturity, cfg.n, cfg.barrier).a
 
 
+# keyed by config's payoff names, which also hold each payoff's facts
 _PAYOFF_TABLE = {
     "asian": _PayoffRow(_prices, average_call, (_average_a,), _average_spec),
-    "basket": _PayoffRow(_prices, average_call, (_average_a,), _average_spec, basket=True),
-    "digital-barrier": _PayoffRow(_log_prices, barrier_hit, (_barrier_a,), None, barrier=True),
-    "asian-barrier": _PayoffRow(
-        _log_prices, barrier_average_call, (_barrier_a, _average_a), None, barrier=True
-    ),
+    "basket": _PayoffRow(_prices, average_call, (_average_a,), _average_spec),
+    "digital-barrier": _PayoffRow(_log_prices, barrier_hit, (_barrier_a,), None),
+    "asian-barrier": _PayoffRow(_log_prices, barrier_average_call, (_barrier_a, _average_a), None),
 }
 
 
@@ -384,7 +294,8 @@ def _lt(cfg: ExperimentConfig, row: _PayoffRow, dim: int):
 
 # method -> (time factor (n, T), asset factor K1 with K1 K1^T = R,
 # builder (cfg, payoff row, dim) -> the TransformChain in front, or None).
-# A chain is fused into the construction (``ChainConstruction``).
+# A chain is fused into the construction (``ChainConstruction``).  Keyed
+# by config's method names.
 _METHOD_TABLE = {
     "forward": (ForwardConstruction, cholesky_psd, None),
     "bb": (BrownianBridgeConstruction, cholesky_psd, None),
@@ -392,15 +303,6 @@ _METHOD_TABLE = {
     "regression": (ForwardConstruction, cholesky_psd, _regression),
     "lt": (ForwardConstruction, cholesky_psd, _lt),
 }
-
-PAYOFFS = tuple(_PAYOFF_TABLE)
-METHODS = tuple(_METHOD_TABLE)
-
-
-def supported_methods(payoff: str, methods) -> list[str]:
-    """The given methods that can price the payoff (LT needs a log-exp spec)."""
-    lt_ok = _PAYOFF_TABLE[payoff].lt_spec is not None
-    return [m for m in methods if m != "lt" or lt_ok]
 
 
 def regression_vector_for(cfg: ExperimentConfig) -> RegressionVector:
@@ -428,7 +330,7 @@ def _build_problem(cfg: ExperimentConfig) -> _Problem:
     import scipy.special  # noqa: F401  (about 0.3 s in a fresh process)
 
     row = _PAYOFF_TABLE[cfg.payoff]
-    cov = row.market(cfg)
+    cov = _market(cfg)
     drift = log_drift(cov, cfg.rate)
     S0 = np.full(cov.m, cfg.s0)
     disc = math.exp(-cfg.rate * cfg.maturity)
@@ -483,14 +385,18 @@ def _build_and_price(cfg: ExperimentConfig, paths: list[int], batches: int):
     (method, batch, N) payoff sums over points 0..N-1, added in chunk order,
     and each (method, batch)'s evaluation seconds, summed over the chunks.
     Chunk bounds depend on the dimension alone, so the sums do not depend on
-    the threads."""
+    the threads.  With no method there is nothing to price: no problem
+    (None), no pool and no normals."""
+    methods, max_n = cfg.methods, max(paths)
+    sums = np.zeros((len(methods), batches, len(paths)))
+    seconds = np.zeros((len(methods), batches))
+    if not methods:
+        return None, sums, seconds
     with _chunk_pool(cfg.workers) as pool:
         problem = _build_problem(cfg)
-        methods, dim, max_n = cfg.methods, problem.dim, max(paths)
+        dim = problem.dim
         rows = _chunk_rows(dim)
         shifts = [rng.shift_vector(cfg.seed, b, dim) for b in range(batches)]
-        sums = np.zeros((len(methods), batches, len(paths)))
-        seconds = np.zeros((len(methods), batches))
 
         def chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
             points = rng.sobol_block(min(rows, max_n - lo), dim, start=lo)

@@ -33,12 +33,12 @@ import importlib.resources
 
 import numpy as np
 
-BITS = 32
-MAX_INDEX = 1 << BITS
+# the state width, the index limit 2^BITS and the table's dimensions,
+# which ExperimentConfig checks a request against without numpy
+from .config import BITS, MAX_INDEX, SOBOL_DIMENSIONS
+
 # A state x maps to the uniform (x + 1/2) * CELL; both steps are exact.
 CELL = 2.0**-BITS
-# The vendored table's dimensions, known without deriving it; a test checks it.
-_TABLE_DIMENSIONS = 2600
 
 
 def _parse_table(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,7 +104,7 @@ def _directions(dim: int) -> np.ndarray:
 
 def max_dimension() -> int:
     """Largest dimension covered by the vendored direction-number table."""
-    return _TABLE_DIMENSIONS
+    return SOBOL_DIMENSIONS
 
 
 def _state_at(index: int, V: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import os
 import pathlib
 import platform
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -504,7 +505,7 @@ def _price_space_problem(build):
     def problem_for(cfg):
         problem = build(cfg)
         S0 = np.array([cfg.s0])
-        drift = log_drift(harness._PAYOFF_TABLE[cfg.payoff].market(cfg), cfg.rate)
+        drift = log_drift(harness._market(cfg), cfg.rate)
         disc = math.exp(-cfg.rate * cfg.maturity)
 
         def evaluate(construction, X):
@@ -902,10 +903,12 @@ def test_python_m_qmcpricer_overflow_stderr_is_the_message_alone():
 
 
 def test_cli_calls_that_evaluate_no_normal_import_no_scipy_special():
-    # scipy.special is imported where ndtri, ndtr and erfcx are called; a
-    # fresh process runs each call in turn and reports its exit code and
-    # whether scipy.special has been imported so far.  The priced call comes
-    # last and must import it, so the check cannot pass vacuously.
+    # scipy.special is imported where ndtri, ndtr and erfcx are called, and
+    # numpy once a command's request is built; a fresh process runs each
+    # call in turn and reports its exit code and whether numpy and
+    # scipy.special have been imported so far.  table1 must import numpy
+    # and the priced call, last, scipy.special, so the check cannot pass
+    # vacuously.
     code = """
 import contextlib, io, json, sys
 from qmcpricer import cli
@@ -927,14 +930,14 @@ for argv in cases:
             rc = cli.main(argv)
         except SystemExit as exc:
             rc = exc.code
-    seen.append([rc, "scipy.special" in sys.modules])
+    seen.append([rc, "numpy" in sys.modules, "scipy.special" in sys.modules])
 print(json.dumps(seen))
 """
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     seen = [tuple(case) for case in json.loads(proc.stdout)]
-    assert seen == [(3, False), (3, False), (2, False), (0, False), (0, False), (0, False),
-                    (0, False), (0, True)]
+    assert seen == [(3, False, False), (3, False, False), (2, False, False), (0, False, False),
+                    (0, True, False), (0, True, False), (0, True, False), (0, True, True)]
 
 
 def test_setup_ms_excludes_the_scipy_special_import():
@@ -1104,6 +1107,116 @@ def test_empty_path_list_refused_before_any_set_up(monkeypatch):
     for payoff, barrier in (("asian", None), ("digital-barrier", 110.0)):
         with pytest.raises(ValueError, match="at least one path count"):
             harness.run_experiment(_cfg(payoff=payoff, barrier=barrier, paths=[]))
+
+
+def test_empty_method_list_builds_nothing_and_draws_no_normals(monkeypatch):
+    # no method, nothing to price: neither call builds a construction or
+    # turns a point into a normal; one method does both, so the counts are live
+    calls = []
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
+
+    counted(harness, "_build_problem")
+    counted(rng, "shifted_normals")
+    cfg = _cfg(payoff="digital-barrier", methods=[], barrier=110.0, paths=[256])
+    assert harness.run_experiment(cfg) == ([], [])
+    assert harness.timing_report(cfg, repeats=2) == []
+    assert calls == []
+    harness.run_experiment(replace(cfg, methods=["forward"]))
+    assert set(calls) == {"_build_problem", "shifted_normals"}, calls
+
+
+# qmcpricer's public names when its package imported every module eagerly
+_PUBLIC_NAMES = [
+    "BarrierCoefficients", "BasketCovSpec", "BatchStats", "BrownianBridgeConstruction",
+    "ChainConstruction", "ExperimentConfig", "ForwardConstruction", "KroneckerConstruction",
+    "LogExpPayoffSpec", "LtResult", "PcaConstruction", "RawRow", "RegressionVector",
+    "TransformChain", "UnsupportedCombinationError", "VarianceReport", "apply_shift",
+    "asian_spec", "average_call", "barrier_average_call", "barrier_coefficients", "barrier_hit",
+    "basket_paths", "basket_spec", "cholesky_psd", "complete_first_k_columns",
+    "construction_matrix", "eigh_factor", "householder_from_target", "indicator_moment",
+    "inv_normal_cdf", "log_drift", "log_paths", "logexp_coefficients", "lt_transform",
+    "max_dimension", "payoff", "payoff_gradient_at_zero", "pca_factors", "prices",
+    "prob_max_exceeds", "regression_chain", "regression_transform", "run_experiment",
+    "shift_vector", "shifted_normals", "sobol_block", "timing_report", "variance_report",
+    "variance_report_continuum", "weighted_max_expectation", "write_raw_csv",
+    "write_summary_csv",
+]
+
+
+def test_each_payoff_fact_defined_once():
+    # config holds every payoff and method name and the payoffs' facts;
+    # harness holds only the callables, keyed by those names
+    from qmcpricer import config
+
+    assert tuple(harness._PAYOFF_TABLE) == config.PAYOFFS == tuple(config.PAYOFF_FACTS)
+    assert tuple(harness._METHOD_TABLE) == config.METHODS
+    for payoff, row in harness._PAYOFF_TABLE.items():
+        assert (row.lt_spec is not None) == config.PAYOFF_FACTS[payoff].lt, payoff
+        cfg = _cfg(payoff=payoff, barrier=110.0, assets=3)
+        assert harness._market(cfg).dim == config.PAYOFF_FACTS[payoff].dim(cfg), payoff
+    for name in ("ExperimentConfig", "UnsupportedCombinationError", "PAYOFFS", "METHODS",
+                 "supported_methods", "usable_cores"):
+        assert getattr(harness, name) is getattr(config, name), name
+    assert (rng.BITS, rng.MAX_INDEX) == (config.BITS, config.MAX_INDEX)
+    assert rng.max_dimension() == config.SOBOL_DIMENSIONS
+    # the package resolves its public names on first use, so importing it
+    # imports no numpy, and every name it had still resolves
+    code = """
+import json, sys
+import qmcpricer
+before = "numpy" in sys.modules
+missing = [name for name in json.loads(sys.argv[1]) if not hasattr(qmcpricer, name)]
+print(json.dumps([before, missing, qmcpricer.__all__]))
+"""
+    proc = _python("-c", code, json.dumps(_PUBLIC_NAMES))
+    assert proc.returncode == 0, proc.stderr
+    before, missing, public = json.loads(proc.stdout)
+    assert (before, missing, sorted(public)) == (False, [], sorted(_PUBLIC_NAMES))
+    import qmcpricer
+    from qmcpricer import regression, transforms
+
+    assert qmcpricer.ExperimentConfig is config.ExperimentConfig
+    assert qmcpricer.run_experiment is harness.run_experiment
+    assert qmcpricer.sobol_block is rng.sobol_block
+    assert qmcpricer.regression_chain is regression.regression_chain
+    assert qmcpricer.TransformChain is transforms.TransformChain
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        qmcpricer.nothing
+
+
+def test_every_entry_point_refuses_and_helps_without_numpy():
+    # python -m qmcpricer, the console script (pyproject's entry point,
+    # called as the generated script calls it) and python -m qmcpricer.cli:
+    # the benchmark's refused digital-2000 call exits 3 with its one stderr
+    # line, every --help prints the same text from each, and none imports
+    # numpy
+    text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^qmcpricer = "([\w.]+):(\w+)"$', text, re.M).groups()
+    script = f"import sys; from {module} import {func}; sys.exit({func}())"
+    entries = (["-m", "qmcpricer"], ["-c", script], ["-m", "qmcpricer.cli"])
+    refused = ["price", "--method", "lt", "--batches", "2", "--seed", "1", "--payoff",
+               "digital-barrier", "--n", "2000", "--paths", "4096", "--barrier", "110.0"]
+    helps = [[], ["price"], ["convergence"], ["table1"], ["timing"], ["coeffs"]]
+    helped = {}
+    for entry in entries:
+        for argv, code in [(refused, 3)] + [(sub + ["--help"], 0) for sub in helps]:
+            proc = _python("-X", "importtime", *entry, *argv)
+            lines = proc.stderr.splitlines()
+            imported = {line.rsplit("|", 1)[-1].strip() for line in lines
+                        if line.startswith("import time:")}
+            err = [line for line in lines if not line.startswith("import time:")]
+            assert "qmcpricer.config" in imported and "numpy" not in imported, (entry, argv)
+            assert proc.returncode == code, (entry, argv, proc.stderr)
+            if code == 3:
+                assert err == ["error: method 'lt' unsupported for payoff 'digital-barrier'"]
+                assert proc.stdout == ""
+            else:
+                assert err == [] and proc.stdout.startswith("usage: qmcpricer"), (entry, argv)
+                assert helped.setdefault(tuple(argv), proc.stdout) == proc.stdout, (entry, argv)
+    assert len(helped) == len(helps)
 
 
 def test_cli_convergence_keeps_its_own_empty_grid_message(capsys):
