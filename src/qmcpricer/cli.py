@@ -8,10 +8,10 @@ Subcommands:
   coeffs       dump the regression coefficient vector
 
 Exit codes: 0 success, 2 bad flags (a basket's rho outside [-1, 1]
-included) or a Sobol block too large for memory, 3 unsupported (payoff,
-method) combination, 4 numerical failure (a non-finite estimate from price,
-convergence or timing, a non-finite regression coefficient, or a float
-overflow).
+included), a Sobol block too large for memory or a worker thread that
+cannot start, 3 unsupported (payoff, method) combination, 4 numerical
+failure (a non-finite estimate from price, convergence or timing, a
+non-finite regression coefficient, or a float overflow).
 
 The market flags and their defaults come from ExperimentConfig's fields,
 which also refuse a bad request (exit 2, then 3) before any set-up.  This
@@ -48,14 +48,15 @@ FULL_SCALE_N = {
 }
 
 
-def _add_market_flags(p: argparse.ArgumentParser) -> None:
+def _add_market_flags(p: argparse.ArgumentParser, method: bool = True) -> None:
     p.add_argument("--payoff", choices=PAYOFFS, default="asian")
-    p.add_argument(
-        "--method",
-        choices=METHODS,
-        action="append",
-        help="repeatable; default depends on the subcommand",
-    )
+    if method:  # coeffs prints regression's vector alone and takes no --method
+        p.add_argument(
+            "--method",
+            choices=METHODS,
+            action="append",
+            help="repeatable; default depends on the subcommand",
+        )
     p.add_argument("--n", type=int, default=64, help="time steps per asset")
     # one flag per remaining config field, in field order, with its default
     for f in fields(ExperimentConfig):
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_timing)
 
     p = sub.add_parser("coeffs", help="dump the regression vector")
-    _add_market_flags(p)
+    _add_market_flags(p, method=False)
     p.set_defaults(func=_cmd_coeffs)
 
     return parser

@@ -224,22 +224,15 @@ class _Problem:
     setup_ms: dict = field(default_factory=dict)  # method -> its construction's build time
 
 
-def _single_cov(cfg: ExperimentConfig) -> BasketCovSpec:
-    return BasketCovSpec(
-        m=1, n=cfg.n, T=cfg.maturity, vols=np.array([cfg.sigma]), corr=np.ones((1, 1))
-    )
-
-
-def _basket_cov(cfg: ExperimentConfig) -> BasketCovSpec:
-    vols = np.linspace(cfg.sigma_min, cfg.sigma_max, cfg.assets)
-    corr = np.full((cfg.assets, cfg.assets), cfg.rho)
-    np.fill_diagonal(corr, 1.0)
-    return BasketCovSpec(m=cfg.assets, n=cfg.n, T=cfg.maturity, vols=vols, corr=corr)
-
-
 def _market(cfg: ExperimentConfig) -> BasketCovSpec:
-    """The payoff's market; a single asset is the one-asset basket."""
-    return _basket_cov(cfg) if PAYOFF_FACTS[cfg.payoff].basket else _single_cov(cfg)
+    """The payoff's market; a single asset is the one-asset basket, of vols [sigma]."""
+    if PAYOFF_FACTS[cfg.payoff].basket:
+        m, vols = cfg.assets, np.linspace(cfg.sigma_min, cfg.sigma_max, cfg.assets)
+    else:
+        m, vols = 1, np.array([cfg.sigma])
+    corr = np.full((m, m), cfg.rho)
+    np.fill_diagonal(corr, 1.0)
+    return BasketCovSpec(m=m, n=cfg.n, T=cfg.maturity, vols=vols, corr=corr)
 
 
 @dataclass(frozen=True)
@@ -365,13 +358,18 @@ def _map_chunks(pool, workers: int, chunk: Callable, starts: Sequence):
     """``chunk(lo)`` for every lo of ``starts``, in order, on ``pool``.  At
     most two chunks per worker wait in its queue, so the queue does not grow
     with the chunk count; a single chunk runs on the calling thread, with no
-    worker thread to start."""
+    worker thread to start.  The pool starts its threads as chunks are
+    submitted; one that cannot start (at the process's thread, pid or memory
+    limit) raises MemoryError, which the CLI refuses with exit 2."""
     if len(starts) == 1:
         yield chunk(starts[0])
         return
     queued = deque()
     for lo in starts:
-        queued.append(pool.submit(chunk, lo))
+        try:
+            queued.append(pool.submit(chunk, lo))
+        except RuntimeError as exc:  # "can't start new thread"
+            raise MemoryError(f"cannot start a worker thread: {exc}") from exc
         if len(queued) > 2 * workers:
             yield queued.popleft().result()
     while queued:

@@ -28,8 +28,6 @@ import numpy as np
 # to 2^19 and 0.58-0.74 s with 2^15, as the per-level calls grow with the
 # block count.
 _BRIDGE_BLOCK = 2**17
-# Entries per row block of the PCA factor's int64 table indices (512 KiB).
-_PCA_BLOCK = 2**16
 # PcaConstruction's FFT route (see there): the fewest time steps it is
 # taken for, the largest prime factor of n it accepts, and the complex
 # entries of its scratch per block of row pairs (1 MiB).  Timed against
@@ -48,20 +46,6 @@ _PCA_FFT_BLOCK = 2**16
 # with 25 rows, one BLAS thread, ten blocks took 2.1 ms and one gemm
 # 2.3 ms.
 _DOT_BLOCK = 256
-
-
-def _row_dots(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """X v for (N, n) rows, as numpy's own reduction.
-
-    ``X @ v`` would be a BLAS gemv, which OpenBLAS runs on its own thread
-    pool at a fixed cost of milliseconds per call, more than the whole dot
-    product of a cache-sized block of rows.  On a 2048 x 250 block (a
-    2-core Xeon), with two uncapped OpenBLAS threads, the gemv took 8.0 ms
-    against 0.28 ms here; with one thread, 0.15 against 0.25 ms.  So a
-    one-reflection chain keeps this dot, while two or more rows take block
-    gemms (see ``TransformChain._dots``).
-    """
-    return np.einsum("ij,j->i", X, v)
 
 
 def _blocked_product(X: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -116,8 +100,8 @@ class TransformChain:
     Loan 1989): row j of V is the unit vector of the j-th reflection that
     is not the identity, zero before its offset, and W is upper triangular.
     Identity reflections add no row but count in ``len``.  ``apply``
-    computes U x as x - (V x)^T W^T V, with W^T V kept from the appends.
-    A single reflection is the one-reflection chain.
+    computes U x as x - V^T (W V x).  A single reflection is the
+    one-reflection chain.
     """
 
     def __init__(self, n: int):
@@ -125,7 +109,6 @@ class TransformChain:
         self.V = np.zeros((0, n))
         self.W = np.zeros((0, 0))
         self._starts: list[int] = []  # 0-based offset of each row of V
-        self._update = np.zeros((0, n))  # W^T V
         self._count = 0
 
     def __len__(self) -> int:
@@ -171,23 +154,18 @@ class TransformChain:
         W[:m, m] = -2.0 * (self.W @ (self.V @ v))
         W[m, m] = 2.0
         self.V, self.W = np.vstack([self.V, v]), W
-        row = np.einsum("k,kj->j", W[:, m], self.V)  # not a BLAS gemv, see _row_dots
-        self._update = np.vstack([self._update, row])
         self._starts.append(k - 1)
 
     def _dots(self, X: np.ndarray) -> np.ndarray:
-        """(m, N) dots of rows X with the rows of V.
+        """(m, N) dots of rows X with the rows of V: one gemm X V^T per
+        ``_DOT_BLOCK`` coordinates, returned transposed.  Each row of V is
+        zero before its offset, so this is the offset sum up to rounding.
 
-        Two or more rows take one gemm X V^T per ``_DOT_BLOCK`` coordinates,
-        returned transposed: each row of V is zero before its offset, so
-        this is the offset sum up to rounding.  On a 2048 x 250 chunk, one
-        BLAS thread, LT's 25 dots took 0.8-1.1 ms against 4.8-5.2 ms as one
-        ``einsum`` each.  A single row keeps its dot from its offset on, as
-        ``_row_dots``.
+        On a 2048 x 250 chunk, one BLAS thread, LT's 25 dots took 0.8-1.1 ms
+        against 4.8-5.2 ms as one ``einsum`` each.  A single row's gemv beat
+        numpy's own reduction too (a 2-core Xeon, one BLAS thread): 0.017
+        against 0.034 ms at 512 x 250, 0.064 against 0.093 ms at 128 x 2000.
         """
-        if len(self._starts) == 1:
-            lo = self._starts[0]
-            return _row_dots(X[:, lo:], self.V[0, lo:])[None]
         return _blocked_product(X, self.V.T).T
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -199,7 +177,7 @@ class TransformChain:
         if not self._starts:
             return x.copy()
         out = np.empty(X.shape)
-        _subtract_products(out, X, self._dots(X), self._update)
+        _subtract_products(out, X, self.W @ self._dots(X), self.V)
         return out.reshape(x.shape)
 
 
@@ -366,28 +344,13 @@ def pca_factors(n: int, T: float) -> tuple[np.ndarray, np.ndarray]:
     the large arguments whose rounding put the direct form up to 3.6e-14
     off at n = 2000; the table is within 1e-16 of the exact sines.
 
-    The lookup runs in row blocks of at most ``_PCA_BLOCK`` entries into
-    the one (n, n) result, so no n^2 index array is built.  Row lo + 1 + i
-    of a block has the phases of row lo + 1 plus i(2k-1), both reduced
-    mod 2(2n+1); the second is one table for every block, so a block's
-    phases take an add and one conditional subtraction instead of a
-    remainder.  The lookup is a memory-bound gather, so the blocks run in
-    turn on the calling thread: on a two-worker pool it gained nothing
-    below n = 2600 (a 2-core Xeon).
+    The lookup is one gather through an (n, n) int64 index array, held
+    while the factor is built: 8 MB at n = 1000.
     """
     period = 2 * (2 * n + 1)
     table = (2.0 / math.sqrt(2 * n + 1)) * np.sin(np.arange(period) * np.pi / (2 * n + 1))
-    odd = np.arange(1, 2 * n, 2, dtype=np.uint64)
-    rows = max(1, _PCA_BLOCK // n)
-    steps = np.outer(np.arange(min(rows, n), dtype=np.uint64), odd) % period
-    vecs = np.empty((n, n))
-    for lo in range(0, n, rows):
-        phase = steps[: n - lo] + (lo + 1) * odd % period  # below 2 period
-        # unsigned, t - period wraps above t unless t >= period
-        np.minimum(phase, phase - period, out=phase)
-        # the phases are in range; the default mode="raise" would take
-        # into a scratch array and copy that to out
-        np.take(table, phase.view(np.int64), out=vecs[lo : lo + rows], mode="clip")
+    k = np.arange(1, n + 1)
+    vecs = table[np.outer(k, 2 * k - 1) % period]
     return _pca_eigenvalues(n, T), vecs
 
 

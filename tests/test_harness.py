@@ -336,6 +336,24 @@ def test_blas_cap_count_under_many_overlapping_runs(blas_threads):
     assert blas_threads() == 2 and harness._blas_cap_depth == 0
 
 
+def test_one_reflection_chain_apply_independent_of_blas_threads(blas_threads):
+    # the one-row dots are a BLAS gemv; at the benchmark's chunk shapes its
+    # last bits must not follow the OpenBLAS thread count
+    _, set_ = harness._openblas_threads()
+    gen = np.random.default_rng(29)
+    for rows, n in ((512, 250), (128, 2000)):
+        construction = harness._build_problem(_cfg(methods=["regression"], n=n)).constructions[
+            "regression"
+        ]
+        assert construction.chain.V.shape == (1, n)
+        X = gen.standard_normal((rows, n))
+        paths = {}
+        for threads in (1, 2):
+            set_(threads)
+            paths[threads] = construction.apply(X)
+        assert np.array_equal(paths[1], paths[2]), (rows, n)
+
+
 def test_chain_construction_setup_independent_of_blas_threads(blas_threads):
     # W^T (C V^T) once per set-up: as a gemm, 22 of basket lt's 62,500
     # entries changed in their last bit between one and two OpenBLAS threads
@@ -1034,6 +1052,31 @@ def test_cli_coeffs_output(capsys):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 5
     assert out[1].startswith("1 ")
+
+
+def test_cli_coeffs_refuses_method(capsys):
+    # coeffs prints regression's vector whatever the method, so it takes none
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coeffs", "--n", "4", "--method", "lt"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method lt" in capsys.readouterr().err
+
+
+def test_cli_worker_thread_that_cannot_start_exits_2(monkeypatch, capsys):
+    # no thread is started: Thread.start fails as it does at the process's
+    # thread or pid limit
+    def start(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["price", "--n", "64", "--paths", "8192", "--workers", "2"])  # 4 chunks
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    lines = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+    assert out == "" and len(lines) == 1, err
+    assert lines[0].endswith("out of memory: cannot start a worker thread: can't start new thread")
+    assert harness._blas_cap_depth == 0
 
 
 def test_cli_coeffs_asian_barrier_prints_the_reflected_vector(capsys):
